@@ -83,10 +83,10 @@ pub struct SearchStats {
     pub hier_expanded_cells: u64,
     /// The full `|VQ|·|VR|` cell count a flat run would have scanned.
     pub hier_full_cells: u64,
-    /// 1 when the service's `HierarchyCache` already held the coarsened
-    /// substrate for this `(host, epoch)` and the run skipped
-    /// hierarchy construction entirely (0 for engine-level runs and
-    /// cache misses).
+    /// 1 when the service's `HierarchyCache` already held (or another
+    /// request was already building) the coarsened substrate for this
+    /// `(host, epoch)` and the run skipped hierarchy construction
+    /// entirely (0 for engine-level runs and cache misses).
     pub hierarchy_cache_hits: u64,
     /// 1 when a superseded cached filter was repaired **in place** to
     /// this run's epoch ([`FilterMatrix::patch`](crate::FilterMatrix)):

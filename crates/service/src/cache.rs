@@ -1,93 +1,85 @@
-//! Epoch-keyed filter memoization.
+//! Epoch-keyed memoization: one cache implementation, two instances.
 //!
-//! The first stage of every filter-based search — the `FilterMatrix`
-//! build — is a pure function of `(host model, query, constraint)`.
-//! The registry versions host models with a [`ModelEpoch`], so the
-//! triple collapses to a hashable [`FilterKey`]: `(host name, epoch,
-//! query fingerprint, constraint source)`. A [`FilterCache`] memoizes
-//! built matrices under that key, which is what lets negotiation loops,
-//! `Scheduler::find_window` sweeps and repeated `submit`s stop
-//! rebuilding identical filters: same key → the *same* `Arc`'d matrix
-//! (trivially bitwise-identical); epoch bump → guaranteed miss, because
-//! a registry epoch never repeats (see [`crate::registry`]) — stale
-//! entries can never be served, only evicted.
+//! The service memoizes two artifacts that are pure functions of a
+//! registry model snapshot. A [`FilterCache`] holds built
+//! `FilterMatrix`es under a [`FilterKey`] `(host, epoch, query
+//! fingerprint, constraint)`. A [`HierarchyCache`] holds coarsened
+//! substrates under a [`HierarchyKey`] `(host, epoch, spec)`; queries
+//! and constraints are not part of it, so one coarsening serves every
+//! query against that snapshot. Both are instances of [`EpochCache`].
+//! A key type tells the cache three things through [`EpochKey`]: the
+//! host it belongs to, its epoch, and whether another key names the
+//! same artifact at a different epoch. The same key always yields the
+//! same `Arc`. Registry epochs never repeat (see [`crate::registry`]),
+//! so an entry for an older epoch can never be *served*; it can only
+//! be evicted, or repaired forward to the current epoch.
 //!
 //! ## Eviction
 //!
-//! Two mechanisms bound the cache:
+//! * **Staleness purge.** Inserting `(host, epoch)` drops every entry
+//!   of the same host with an older epoch: the registry guarantees
+//!   those versions are never requested again.
+//! * **LRU cap.** Beyond the instance's capacity ([`DEFAULT_CAPACITY`]
+//!   filters, [`HIERARCHY_CAPACITY`] hierarchies) the least recently
+//!   used entry goes, so a sweep over many distinct keys cannot grow
+//!   the cache without bound.
+//! * **Invalidation.** [`EpochCache::invalidate_host`] drops a dead
+//!   namespace (a removed model) at once, and poisons its in-flight
+//!   builds (below).
 //!
-//! * **staleness purge** — inserting a filter for `(host, epoch)` drops
-//!   every entry of the same host with an older epoch (the registry
-//!   guarantees those versions can never be requested again);
-//! * **LRU cap** — beyond [`FilterCache::with_capacity`]'s limit the
-//!   least-recently-used entry goes, so a sweep over many distinct
-//!   constraints (negotiation levels, scheduler residual models) cannot
-//!   grow the cache without bound.
+//! ## Epoch repair
 //!
-//! ## Epoch promotion
+//! An epoch bump is a guaranteed miss, even when the mutation behind it
+//! changed nothing the cached artifact depends on.
+//! [`EpochCache::try_patch`] is the one repair entry point. Given the
+//! would-be key for the current epoch, it picks the newest superseded
+//! entry with the same identity and hands it to a caller-supplied
+//! decide hook, which runs *outside* the cache lock (it consults the
+//! registry and may scan bitsets). The hook answers with a
+//! [`PatchDecision`]:
 //!
-//! An epoch bump normally means a guaranteed miss and a full rebuild —
-//! even when the mutation behind the bump touched host nodes the cached
-//! filter never references. [`FilterCache::try_promote`] closes that
-//! gap: given the would-be key for the *current* epoch, it finds the
-//! newest superseded entry with the same `(host, query, constraint)`
-//! identity and asks a caller-supplied verdict (typically: does
-//! [`ModelRegistry::dirty_between`](crate::registry::ModelRegistry::dirty_between)
-//! intersect the filter's
-//! [`touched_hosts`](netembed::FilterMatrix::touched_hosts)?) whether
-//! the old matrix is still exact. On a yes the slot is re-keyed in
-//! place — the next fetch is a plain hit, no build, no miss. The
-//! verdict runs *outside* the cache lock; the re-key re-checks that the
-//! candidate survived and that nobody filled the new key meanwhile.
+//! * `Skip`: the window cannot be classified; nothing changes.
+//! * `Promote`: the window is provably empty; the entry is re-keyed in
+//!   place ([`EpochCache::promotions`]).
+//! * `Replace(v)`: the hook repaired a clone; it is memoized under the
+//!   new key ([`EpochCache::patches`]).
+//! * `Rebuild`: the window cannot be absorbed; the caller falls
+//!   through to a normal miss ([`EpochCache::patch_rebuilds`]).
 //!
-//! ## Epoch patching
-//!
-//! Promotion only helps when the dirty window misses the filter
-//! entirely. [`FilterCache::try_patch`] covers the common middle
-//! ground — the window *does* touch cached candidates, but only to
-//! remove them (attribute churn, logical edge/node removals): the
-//! caller's decide hook clones the superseded matrix, repairs it with
-//! [`FilterMatrix::patch`](netembed::FilterMatrix::patch) **outside the
-//! cache lock**, and hands back [`PatchDecision::Replace`]; the cache
-//! memoizes the repaired clone under the new key (counted under
-//! [`FilterCache::patches`]) and the next fetch is a plain hit. A
-//! mutation that *adds* a feasible candidate cannot be spliced into the
-//! frozen arena — `patch` reports `NeedsRebuild`, the hook returns
-//! [`PatchDecision::Rebuild`] (counted under
-//! [`FilterCache::patch_rebuilds`]) and the caller falls through to the
-//! normal miss/build path. This is also what makes promotion *sound*
-//! for additive mutations: every non-empty dirty window re-evaluates
-//! through `patch`'s addition detection instead of trusting the
-//! touched-host intersection alone (which cannot see a dirty node
-//! becoming newly admissible *outside* the cached candidate set).
+//! After `Promote` or `Replace` the next fetch is a plain hit. The
+//! filter instance uses all four: a removal-only window is repaired
+//! with [`FilterMatrix::patch`](netembed::FilterMatrix::patch), and a
+//! window that *adds* a feasible candidate returns `NeedsRebuild`,
+//! which is what keeps repair sound for additive mutations. The
+//! hierarchy instance only promotes across empty windows, since a
+//! coarsening aggregates every node.
 //!
 //! ## Concurrent-miss deduplication
 //!
-//! Two threads missing on the same key at the same time used to both
-//! build (last insert wins — correct, but the second build is pure
-//! waste). [`FilterCache::fetch_or_build`] closes that hole with an
-//! **in-flight build table**: the first miss registers the key and gets
-//! a [`BuildTicket`] (it is the designated builder); any later miss on
-//! the same key finds the registration and *waits* on it instead of
-//! building, receiving the exact same `Arc` the winner produced
-//! ([`FilterFetch::Waited`]). A builder that fails — deadline-truncated
-//! build, problem error, panic — abandons its ticket (explicitly or on
-//! drop), which wakes the waiters so one of them can take over. Waiters
-//! pass their own remaining budget; a wait that outlives it returns
-//! [`FilterFetch::WaitExpired`] rather than blocking past the
-//! requester's deadline.
+//! [`EpochCache::fetch_or_build`] resolves a key through an **in-flight
+//! build table**. The first miss registers the key and receives a
+//! [`BuildTicket`]: it is the designated builder. A later miss on the
+//! same key waits on that registration and receives the exact `Arc`
+//! the winner produced ([`Fetch::Waited`]). A builder that fails
+//! (deadline-truncated build, error, panic) abandons its ticket,
+//! explicitly or on drop, which wakes the waiters so one can take over.
+//! Four refinements bound the wait:
 //!
-//! Two overload/cancellation refinements (see [`crate::admission`]):
-//! the number of threads blocked on one in-flight build is bounded by
-//! [`FilterCache::with_max_waiters`] — the excess gets
-//! [`FilterFetch::Overloaded`] instead of convoying behind a single
-//! build — and [`FilterCache::fetch_or_build_watch`] accepts a cancel
-//! probe so a planner dispatcher whose requester dropped its ticket
-//! stops waiting ([`FilterFetch::Cancelled`]) instead of blocking on a
-//! build whose result nobody will read.
+//! * a wait budget: a wait that outlives it returns
+//!   [`Fetch::WaitExpired`] (hierarchy waiters pass none, because
+//!   coarsening is not charged to a request's budget);
+//! * a waiter cap ([`EpochCache::with_max_waiters`], the admission
+//!   policy's `max_dedup_waiters` on the filter instance): the excess
+//!   gets [`Fetch::Overloaded`] instead of convoying behind one build;
+//! * a cancel probe ([`EpochCache::fetch_or_build_watch`]): a planner
+//!   dispatcher whose requester dropped its ticket stops waiting
+//!   ([`Fetch::Cancelled`]);
+//! * poison on invalidate: a build still in flight when its host is
+//!   invalidated hands its result to the waiters but memoizes nothing,
+//!   so a removed model is never resurrected by a late completion.
 
 use crate::registry::ModelEpoch;
-use netembed::FilterMatrix;
+use netembed::{FilterMatrix, HierarchySpec, SubstrateHierarchy};
 use netgraph::Network;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -99,6 +91,24 @@ use std::time::{Duration, Instant};
 
 /// Default entry cap of [`FilterCache::new`].
 pub const DEFAULT_CAPACITY: usize = 64;
+
+/// Default entry cap of [`HierarchyCache::new`]. Hierarchies are
+/// per-model (not per-query), so a service rarely holds more than a
+/// handful of live ones.
+pub const HIERARCHY_CAPACITY: usize = 8;
+
+/// What an [`EpochCache`] needs to know about its keys.
+pub trait EpochKey: Clone + Eq + Hash + std::fmt::Debug {
+    /// Entry cap of [`EpochCache::new`].
+    const CAPACITY: usize;
+    /// Registry model name (the namespace purged and invalidated).
+    fn host(&self) -> &str;
+    /// Model version the artifact was built against.
+    fn epoch(&self) -> ModelEpoch;
+    /// Whether `other` names the same artifact, possibly at another
+    /// epoch: the candidate test of [`EpochCache::try_patch`].
+    fn same_identity(&self, other: &Self) -> bool;
+}
 
 /// Identity of one memoized filter build. Equality of keys must imply
 /// equality of the built filter: `host`+`epoch` pin one exact model
@@ -118,13 +128,63 @@ pub struct FilterKey {
     pub constraint: String,
 }
 
-struct Slot {
-    filter: Arc<FilterMatrix>,
+impl EpochKey for FilterKey {
+    const CAPACITY: usize = DEFAULT_CAPACITY;
+    fn host(&self) -> &str {
+        &self.host
+    }
+    fn epoch(&self) -> ModelEpoch {
+        self.epoch
+    }
+    fn same_identity(&self, other: &Self) -> bool {
+        self.host == other.host
+            && self.query_hash == other.query_hash
+            && self.constraint == other.constraint
+    }
+}
+
+/// Identity of one memoized substrate coarsening: the hierarchy is a
+/// pure function of the host model (pinned by `host` + `epoch`) and
+/// the coarsening knobs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct HierarchyKey {
+    /// Registry model name.
+    pub host: String,
+    /// Model version the hierarchy was coarsened from.
+    pub epoch: ModelEpoch,
+    /// Coarsening knobs (different levels/floor → different hierarchy).
+    pub spec: HierarchySpec,
+}
+
+impl EpochKey for HierarchyKey {
+    const CAPACITY: usize = HIERARCHY_CAPACITY;
+    fn host(&self) -> &str {
+        &self.host
+    }
+    fn epoch(&self) -> ModelEpoch {
+        self.epoch
+    }
+    fn same_identity(&self, other: &Self) -> bool {
+        self.host == other.host && self.spec == other.spec
+    }
+}
+
+/// The service's memo of built filter matrices.
+pub type FilterCache = EpochCache<FilterKey, FilterMatrix>;
+
+/// The service's memo of coarsened substrates.
+pub type HierarchyCache = EpochCache<HierarchyKey, SubstrateHierarchy>;
+
+/// What [`FilterCache::fetch_or_build`] resolved a key to.
+pub type FilterFetch<'a> = Fetch<'a, FilterKey, FilterMatrix>;
+
+struct Slot<V> {
+    value: Arc<V>,
     last_used: u64,
 }
 
-struct CacheState {
-    map: HashMap<FilterKey, Slot>,
+struct CacheState<K, V> {
+    map: HashMap<K, Slot<V>>,
     /// Logical clock for LRU ordering.
     tick: u64,
 }
@@ -133,62 +193,46 @@ struct CacheState {
 /// `Building` to `Done`/`Abandoned` and notifies; joiners wait on `cv`.
 /// Waiters hold their own `Arc` clone, so the winner can drop the table
 /// entry immediately — late wakeups still read the final state.
-struct InFlight {
-    state: StdMutex<BuildState>,
+struct InFlight<V> {
+    state: StdMutex<BuildState<V>>,
     cv: StdCondvar,
-    /// Threads currently blocked on this build. Joined/left under the
-    /// cache's `inflight` map lock on entry and atomically on every
-    /// exit path (shared, expired, cancelled, abandoned-retry), so the
-    /// waiter cap can never leak a slot.
+    /// Threads currently blocked on this build. Joined under the
+    /// cache's `inflight` map lock and left on every exit path
+    /// ([`WaiterSlot`]), so the waiter cap can never leak a slot.
     waiters: AtomicU64,
-    /// Set by [`FilterCache::invalidate_host`] while the build is still
-    /// in flight: the key's namespace died (model removed), so
-    /// [`BuildTicket::complete`] must *not* memoize the result — doing
-    /// so would resurrect an entry for the dead host after the
-    /// invalidation purge. Waiters still receive the built filter (the
-    /// answer is correct for the epoch they asked about); it just is
-    /// not cached.
+    /// Set by [`EpochCache::invalidate_host`] while the build is still
+    /// in flight: [`BuildTicket::complete`] then hands the value to
+    /// the waiters (it is correct for the epoch they asked about) but
+    /// does not memoize it for the dead host.
     poisoned: AtomicBool,
 }
 
-enum BuildState {
+enum BuildState<V> {
     Building,
-    Done(Arc<FilterMatrix>),
+    Done(Arc<V>),
     /// The builder gave up (truncated build, error, panic): one waiter
     /// should retry and become the new builder.
     Abandoned,
 }
 
-impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            state: StdMutex::new(BuildState::Building),
-            cv: StdCondvar::new(),
-            waiters: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-}
-
 /// RAII waiter-count slot: constructed under the inflight map lock,
-/// released on every exit path (including unwinds) so
-/// [`FilterCache::with_max_waiters`] accounting can never drift.
-struct WaiterSlot<'a>(&'a InFlight);
+/// released on every exit path (including unwinds).
+struct WaiterSlot<'a, V>(&'a InFlight<V>);
 
-impl Drop for WaiterSlot<'_> {
+impl<V> Drop for WaiterSlot<'_, V> {
     fn drop(&mut self) {
         self.0.waiters.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// What [`FilterCache::fetch_or_build`] resolved a key to.
-pub enum FilterFetch<'a> {
+/// What [`EpochCache::fetch_or_build`] resolved a key to.
+pub enum Fetch<'a, K: EpochKey, V> {
     /// Served from the memo (counted as a hit).
-    Hit(Arc<FilterMatrix>),
+    Hit(Arc<V>),
     /// Another thread was already building this key; this call blocked
-    /// until that build completed and got the same `Arc` it memoized
-    /// (counted as a dedup wait, not a miss).
-    Waited(Arc<FilterMatrix>),
+    /// until that build completed and got the same `Arc` (counted as a
+    /// dedup wait, not a miss).
+    Waited(Arc<V>),
     /// Another thread was building, but the caller's wait budget ran
     /// out first. The caller should report a timeout, exactly as if it
     /// had spent the budget building.
@@ -196,81 +240,74 @@ pub enum FilterFetch<'a> {
     /// Nobody has this key: the caller is the designated builder and
     /// must [`BuildTicket::complete`] (or abandon) the ticket (counted
     /// as a miss).
-    MustBuild(BuildTicket<'a>),
-    /// The in-flight build for this key already has the maximum number
-    /// of waiters ([`FilterCache::with_max_waiters`]): the caller was
-    /// shed instead of joining the convoy (counted under
-    /// [`FilterCache::dedup_shed`]).
+    MustBuild(BuildTicket<'a, K, V>),
+    /// The in-flight build already has the maximum number of waiters
+    /// ([`EpochCache::with_max_waiters`]): the caller was shed instead
+    /// of joining the convoy (counted under [`EpochCache::dedup_shed`]).
     Overloaded,
     /// The caller's cancel probe fired while it waited on another
-    /// thread's build (only via [`FilterCache::fetch_or_build_watch`]):
-    /// the requester dropped its ticket, so the caller should stop
-    /// working on its behalf. Nothing was built or counted.
+    /// thread's build ([`EpochCache::fetch_or_build_watch`]). Nothing
+    /// was built or counted.
     Cancelled,
 }
 
-/// The designated-builder token handed out by
-/// [`FilterCache::fetch_or_build`] on a true miss. Exactly one exists
-/// per in-flight key. [`BuildTicket::complete`] memoizes the filter and
-/// hands it to every waiter; dropping the ticket without completing
-/// (build failure, deadline truncation, panic unwind) abandons the
-/// build, waking waiters so one can take over — waiters can therefore
-/// never deadlock on a builder that died.
-pub struct BuildTicket<'a> {
-    cache: &'a FilterCache,
-    key: FilterKey,
-    slot: Arc<InFlight>,
+/// The designated-builder token handed out on a true miss. Exactly one
+/// exists per in-flight key. [`BuildTicket::complete`] memoizes the
+/// value and hands it to every waiter; dropping the ticket without
+/// completing abandons the build, waking waiters so one can take over —
+/// waiters can therefore never deadlock on a builder that died.
+pub struct BuildTicket<'a, K: EpochKey, V> {
+    cache: &'a EpochCache<K, V>,
+    key: K,
+    slot: Arc<InFlight<V>>,
     resolved: bool,
 }
 
-impl BuildTicket<'_> {
+impl<K: EpochKey, V> BuildTicket<'_, K, V> {
     /// Publish a finished build: memoize it under the ticket's key and
     /// wake every waiter with the same `Arc`. Callers must only
-    /// complete *complete* builds (see [`FilterCache::insert`]).
+    /// complete *complete* builds — a deadline-truncated filter is a
+    /// function of the budget, not the key.
     ///
     /// The memo insert and the in-flight-table removal happen under one
     /// hold of the in-flight lock, and the insert is skipped when
-    /// [`FilterCache::invalidate_host`] poisoned this build meanwhile —
-    /// otherwise a builder racing a model removal would complete its
-    /// register-then-reprobe insert *after* the invalidation purge and
-    /// resurrect an entry for the dead host. Waiters are woken with the
-    /// filter either way.
-    pub fn complete(mut self, filter: Arc<FilterMatrix>) {
+    /// [`EpochCache::invalidate_host`] poisoned this build meanwhile.
+    pub fn complete(mut self, value: Arc<V>) {
         self.resolved = true;
         {
             let mut fl = self.cache.inflight.lock().unwrap();
             if !self.slot.poisoned.load(Ordering::Relaxed) {
-                self.cache.insert(self.key.clone(), filter.clone());
+                self.cache.insert(self.key.clone(), value.clone());
             }
             fl.remove(&self.key);
         }
-        *self.slot.state.lock().unwrap() = BuildState::Done(filter);
+        *self.slot.state.lock().unwrap() = BuildState::Done(value);
         self.slot.cv.notify_all();
     }
 
     /// Give the key up without publishing (truncated or failed build):
     /// wakes waiters so one of them becomes the new builder.
     pub fn abandon(mut self) {
-        self.resolve(BuildState::Abandoned);
+        self.resolve_abandoned();
     }
 
-    fn resolve(&mut self, state: BuildState) {
+    fn resolve_abandoned(&mut self) {
         self.resolved = true;
         self.cache.inflight.lock().unwrap().remove(&self.key);
-        *self.slot.state.lock().unwrap() = state;
+        *self.slot.state.lock().unwrap() = BuildState::Abandoned;
         self.slot.cv.notify_all();
     }
 }
 
-impl Drop for BuildTicket<'_> {
+impl<K: EpochKey, V> Drop for BuildTicket<'_, K, V> {
     fn drop(&mut self) {
         if !self.resolved {
-            self.resolve(BuildState::Abandoned);
+            self.resolve_abandoned();
         }
     }
 }
 
-impl std::fmt::Debug for BuildTicket<'_> {
+impl<K: EpochKey, V> std::fmt::Debug for BuildTicket<'_, K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BuildTicket")
             .field("key", &self.key)
@@ -278,19 +315,19 @@ impl std::fmt::Debug for BuildTicket<'_> {
     }
 }
 
-/// Thread-safe memo of built `FilterMatrix`es, keyed by [`FilterKey`].
-/// Shared by every [`PreparedQuery`](crate::PreparedQuery) of a service
-/// (one query's build serves later identical submits), with lifetime
-/// hit/miss/dedup-wait counters for observability.
-pub struct FilterCache {
-    state: Mutex<CacheState>,
-    /// Keys currently being built (see the module docs on concurrent-miss
-    /// deduplication). `std` primitives on purpose: joiners need a
-    /// condvar, which the vendored `parking_lot` stand-in doesn't carry.
-    inflight: StdMutex<HashMap<FilterKey, Arc<InFlight>>>,
+/// Thread-safe, epoch-keyed memo of `Arc<V>` values under keys `K`
+/// (module docs): LRU plus same-host staleness purge, in-flight miss
+/// deduplication, poison on invalidate, one repair entry point, and
+/// lifetime counters for observability.
+pub struct EpochCache<K, V> {
+    state: Mutex<CacheState<K, V>>,
+    /// Keys currently being built. `std` primitives on purpose: joiners
+    /// need a condvar, which the vendored `parking_lot` stand-in doesn't
+    /// carry.
+    inflight: StdMutex<HashMap<K, Arc<InFlight<V>>>>,
     capacity: usize,
-    /// Cap on threads blocked on one in-flight build (the admission
-    /// policy's `max_dedup_waiters`); `usize::MAX` = unbounded.
+    /// Cap on threads blocked on one in-flight build; `usize::MAX` =
+    /// unbounded.
     max_waiters: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -301,36 +338,37 @@ pub struct FilterCache {
     patch_rebuilds: AtomicU64,
 }
 
-/// The caller's verdict for one [`FilterCache::try_patch`] window,
-/// produced by the decide hook *outside* the cache lock (module docs,
-/// "Epoch patching").
-pub enum PatchDecision {
+/// The decide hook's verdict for one [`EpochCache::try_patch`] window
+/// (module docs, "Epoch repair").
+pub enum PatchDecision<V = FilterMatrix> {
     /// The window cannot be classified (broken delta chain, no registry
     /// history): leave the cache untouched and fall through to the
     /// normal miss/build path. No counter moves.
     Skip,
-    /// The composed dirty window is provably empty: the superseded
-    /// matrix is still exact — re-key it in place (a promotion).
+    /// The dirty window is provably empty: the superseded value is
+    /// still exact — re-key it in place (a promotion).
     Promote,
     /// The dirty window only removed candidates: memoize this repaired
-    /// clone under the new key (counted under [`FilterCache::patches`]).
-    Replace(Arc<FilterMatrix>),
+    /// clone under the new key (counted under [`EpochCache::patches`]).
+    Replace(Arc<V>),
     /// The window added a feasible candidate
-    /// ([`PatchOutcome::NeedsRebuild`](netembed::PatchOutcome)): the
-    /// frozen arena cannot absorb it — fall through to a full rebuild
-    /// (counted under [`FilterCache::patch_rebuilds`]).
+    /// ([`PatchOutcome::NeedsRebuild`](netembed::PatchOutcome)): fall
+    /// through to a full rebuild (counted under
+    /// [`EpochCache::patch_rebuilds`]).
     Rebuild,
 }
 
-impl FilterCache {
-    /// A cache capped at [`DEFAULT_CAPACITY`] entries.
+impl<K: EpochKey, V> EpochCache<K, V> {
+    /// A cache capped at the key type's default capacity
+    /// ([`DEFAULT_CAPACITY`] filters, [`HIERARCHY_CAPACITY`]
+    /// hierarchies).
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
+        Self::with_capacity(K::CAPACITY)
     }
 
-    /// A cache holding at most `capacity` filters (≥ 1).
+    /// A cache holding at most `capacity` entries (≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        FilterCache {
+        EpochCache {
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
                 tick: 0,
@@ -349,48 +387,38 @@ impl FilterCache {
     }
 
     /// Bound the threads allowed to block on one in-flight build; the
-    /// excess resolves as [`FilterFetch::Overloaded`]. Clamped to ≥ 1
-    /// (zero would shed every joiner, turning dedup off entirely —
-    /// use a higher bound, or accept the rebuilds explicitly).
+    /// excess resolves as [`Fetch::Overloaded`]. Clamped to ≥ 1 (zero
+    /// would shed every joiner, turning dedup off entirely).
     pub fn with_max_waiters(mut self, max: usize) -> Self {
         self.max_waiters = max.max(1);
         self
     }
 
-    /// The memoized filter for `key`, refreshing its LRU position.
-    pub fn lookup(&self, key: &FilterKey) -> Option<Arc<FilterMatrix>> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        match st.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.filter.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// The memoized value for `key`, refreshing its LRU position.
+    pub fn lookup(&self, key: &K) -> Option<Arc<V>> {
+        let hit = self.peek_hit(key);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
-    /// [`FilterCache::lookup`] that only counts (and refreshes) hits —
-    /// a `None` here is not yet a miss, because `fetch_or_build` may
+    /// [`EpochCache::lookup`] that only counts (and refreshes) hits — a
+    /// `None` here is not yet a miss, because `fetch_or_build` may
     /// still resolve it as a dedup wait.
-    fn peek_hit(&self, key: &FilterKey) -> Option<Arc<FilterMatrix>> {
+    fn peek_hit(&self, key: &K) -> Option<Arc<V>> {
         let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
         st.map.get_mut(key).map(|slot| {
             slot.last_used = tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            slot.filter.clone()
+            slot.value.clone()
         })
     }
 
     /// Resolve `key` with concurrent-miss deduplication (module docs):
-    /// memo hit → [`FilterFetch::Hit`]; someone else already building →
+    /// memo hit → [`Fetch::Hit`]; someone else already building →
     /// block (up to `wait_budget`; `None` waits indefinitely) and share
     /// their result; true miss → the caller becomes the designated
     /// builder and receives a [`BuildTicket`].
@@ -398,39 +426,29 @@ impl FilterCache {
     /// **"Concurrent misses build once" is deterministic**, not
     /// best-effort: a winner memoizes *before* clearing its in-flight
     /// entry, and a caller that registers as builder re-probes the memo
-    /// before being handed the ticket — so if a concurrent build
-    /// completed anywhere in between, the caller takes the hit instead
-    /// of rebuilding. A second `MustBuild` for the same `(key, model)`
-    /// can only follow an *abandoned* (truncated/failed) build, or an
-    /// LRU eviction of the entry itself.
-    pub fn fetch_or_build(
-        &self,
-        key: &FilterKey,
-        wait_budget: Option<Duration>,
-    ) -> FilterFetch<'_> {
+    /// before being handed the ticket. A second `MustBuild` for the
+    /// same key can only follow an *abandoned* build, or an eviction of
+    /// the entry itself.
+    pub fn fetch_or_build(&self, key: &K, wait_budget: Option<Duration>) -> Fetch<'_, K, V> {
         self.fetch_or_build_watch(key, wait_budget, None)
     }
 
-    /// [`FilterCache::fetch_or_build`] with a cancel probe: while the
+    /// [`EpochCache::fetch_or_build`] with a cancel probe: while the
     /// caller is blocked on another thread's build, the probe is polled
-    /// (a few times per millisecond); the moment it returns `true` the
-    /// call resolves as [`FilterFetch::Cancelled`] and the waiter slot
-    /// frees. The planner's dispatcher passes a probe that checks
-    /// whether the member it is working for dropped its ticket — so
-    /// cancellation propagates *into* dedup wait chains instead of the
-    /// dispatcher blocking on a build whose result nobody will read.
+    /// (about once per millisecond); the moment it returns `true` the
+    /// call resolves as [`Fetch::Cancelled`] and the waiter slot frees.
     pub fn fetch_or_build_watch(
         &self,
-        key: &FilterKey,
+        key: &K,
         wait_budget: Option<Duration>,
         cancel: Option<&dyn Fn() -> bool>,
-    ) -> FilterFetch<'_> {
+    ) -> Fetch<'_, K, V> {
         /// Poll granularity for the cancel probe while blocked.
         const CANCEL_POLL: Duration = Duration::from_millis(1);
         let wait_deadline = wait_budget.map(|b| Instant::now() + b);
         loop {
-            if let Some(filter) = self.peek_hit(key) {
-                return FilterFetch::Hit(filter);
+            if let Some(value) = self.peek_hit(key) {
+                return Fetch::Hit(value);
             }
             // `Ok` = someone is already building (join them — the
             // waiter slot is claimed under the map lock, so the cap is
@@ -442,13 +460,18 @@ impl FilterCache {
                     Some(slot) => {
                         if slot.waiters.load(Ordering::Relaxed) >= self.max_waiters as u64 {
                             self.dedup_shed.fetch_add(1, Ordering::Relaxed);
-                            return FilterFetch::Overloaded;
+                            return Fetch::Overloaded;
                         }
                         slot.waiters.fetch_add(1, Ordering::Relaxed);
                         Ok(slot.clone())
                     }
                     None => {
-                        let slot = Arc::new(InFlight::new());
+                        let slot = Arc::new(InFlight {
+                            state: StdMutex::new(BuildState::Building),
+                            cv: StdCondvar::new(),
+                            waiters: AtomicU64::new(0),
+                            poisoned: AtomicBool::new(false),
+                        });
                         fl.insert(key.clone(), slot.clone());
                         Err(slot)
                     }
@@ -465,16 +488,15 @@ impl FilterCache {
                     // Close the probe→register window: a winner that
                     // completed in between memoized *before* clearing
                     // its in-flight entry, so this re-probe is
-                    // definitive — a successful concurrent build can
-                    // never be repeated. (Dropping the fresh ticket
-                    // releases the key; anyone who joined it in the
-                    // meantime retries and takes the hit too.)
-                    if let Some(filter) = self.peek_hit(key) {
+                    // definitive. (Dropping the fresh ticket releases
+                    // the key; anyone who joined it meanwhile retries
+                    // and takes the hit too.)
+                    if let Some(value) = self.peek_hit(key) {
                         drop(ticket);
-                        return FilterFetch::Hit(filter);
+                        return Fetch::Hit(value);
                     }
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    return FilterFetch::MustBuild(ticket);
+                    return Fetch::MustBuild(ticket);
                 }
                 Ok(slot) => slot,
             };
@@ -485,15 +507,15 @@ impl FilterCache {
             let mut st = slot.state.lock().unwrap();
             loop {
                 match &*st {
-                    BuildState::Done(filter) => {
+                    BuildState::Done(value) => {
                         self.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                        return FilterFetch::Waited(filter.clone());
+                        return Fetch::Waited(value.clone());
                     }
                     BuildState::Abandoned => break, // retry from the top
                     BuildState::Building => {}
                 }
                 if cancel.is_some_and(|c| c()) {
-                    return FilterFetch::Cancelled;
+                    return Fetch::Cancelled;
                 }
                 // With a cancel probe the wait is sliced so the probe
                 // keeps getting polled; a pure deadline wait blocks for
@@ -503,7 +525,7 @@ impl FilterCache {
                     Some(d) => {
                         let now = Instant::now();
                         if now >= d {
-                            return FilterFetch::WaitExpired;
+                            return Fetch::WaitExpired;
                         }
                         let left = d - now;
                         Some(if cancel.is_some() {
@@ -523,21 +545,18 @@ impl FilterCache {
         }
     }
 
-    /// Memoize `filter` under `key`. Purges permanently-stale entries
+    /// Memoize `value` under `key`. Purges permanently-stale entries
     /// (same host, older epoch) and LRU-evicts past the capacity cap.
-    /// Callers must only insert *complete* builds — a truncated filter
-    /// is a function of the deadline, not the key.
-    pub fn insert(&self, key: FilterKey, filter: Arc<FilterMatrix>) {
-        debug_assert!(!filter.truncated(), "caching a truncated filter");
+    pub fn insert(&self, key: K, value: Arc<V>) {
         let mut st = self.state.lock();
         st.map
-            .retain(|k, _| k.host != key.host || k.epoch >= key.epoch);
+            .retain(|k, _| k.host() != key.host() || k.epoch() >= key.epoch());
         st.tick += 1;
         let tick = st.tick;
         st.map.insert(
             key,
             Slot {
-                filter,
+                value,
                 last_used: tick,
             },
         );
@@ -552,93 +571,18 @@ impl FilterCache {
         }
     }
 
-    /// Re-key a superseded entry to `key` when `verdict` certifies the
-    /// old matrix is still exact (module docs, "Epoch promotion").
-    ///
-    /// The candidate is the *newest* memoized entry sharing `key`'s
-    /// host, query fingerprint and constraint with an older epoch.
-    /// `verdict(old_epoch, filter)` decides outside the cache lock —
-    /// callers typically check that the registry's accumulated dirty
-    /// set between the epochs misses the filter's touched host nodes.
-    /// Returns `true` when `key` is memoized afterwards (promotion
-    /// landed, or a concurrent build already filled it); the next
-    /// lookup is then a hit. No counter moves on `false` — the caller
-    /// falls through to the normal miss/build path.
-    pub fn try_promote(
-        &self,
-        key: &FilterKey,
-        verdict: impl FnOnce(ModelEpoch, &FilterMatrix) -> bool,
-    ) -> bool {
-        let candidate = {
-            let st = self.state.lock();
-            if st.map.contains_key(key) {
-                return true;
-            }
-            st.map
-                .iter()
-                .filter(|(k, _)| {
-                    k.host == key.host
-                        && k.query_hash == key.query_hash
-                        && k.constraint == key.constraint
-                        && k.epoch < key.epoch
-                })
-                .max_by_key(|(k, _)| k.epoch)
-                .map(|(k, slot)| (k.clone(), slot.filter.clone()))
-        };
-        let Some((old_key, filter)) = candidate else {
-            return false;
-        };
-        // The verdict may consult the registry (lock-ordering hazard if
-        // held under the cache lock) and scan bitsets (latency under a
-        // hot lock) — run it on the clones.
-        if !verdict(old_key.epoch, &filter) {
-            return false;
-        }
-        self.rekey(&old_key, key)
-    }
-
-    /// Re-key `old_key`'s slot to `key`, re-checking (under the lock)
-    /// that the candidate survived and that nobody filled `key`
-    /// meanwhile. Shared tail of [`FilterCache::try_promote`] and the
-    /// promote arm of [`FilterCache::try_patch`].
-    fn rekey(&self, old_key: &FilterKey, key: &FilterKey) -> bool {
-        let mut st = self.state.lock();
-        if st.map.contains_key(key) {
-            // A concurrent builder landed the fresh epoch first; its
-            // `insert` purged the candidate. The goal state holds.
-            return true;
-        }
-        let Some(slot) = st.map.remove(old_key) else {
-            // Evicted while the verdict ran; nothing left to promote.
-            return false;
-        };
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key.clone(),
-            Slot {
-                filter: slot.filter,
-                last_used: tick,
-            },
-        );
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Repair-or-promote a superseded entry to `key` (module docs,
-    /// "Epoch patching"). The candidate is selected exactly as in
-    /// [`FilterCache::try_promote`] (newest same-identity entry with an
-    /// older epoch; an already-memoized `key` short-circuits `true`);
-    /// `decide(old_epoch, filter)` then classifies the dirty window
-    /// *outside* the cache lock — typically by cloning the matrix and
-    /// running [`FilterMatrix::patch`](netembed::FilterMatrix::patch)
-    /// against the new-epoch model. Returns `true` when `key` is
-    /// memoized afterwards; on `false` the caller falls through to the
-    /// normal miss/build path.
+    /// Repair a superseded entry forward to `key` (module docs, "Epoch
+    /// repair"). The candidate is the newest memoized entry with the
+    /// same identity as `key` and an older epoch; an already-memoized
+    /// `key` short-circuits `true` without deciding.
+    /// `decide(old_epoch, value)` classifies the window *outside* the
+    /// cache lock. Returns `true` when `key` is memoized afterwards;
+    /// on `false` the caller falls through to the normal miss/build
+    /// path.
     pub fn try_patch(
         &self,
-        key: &FilterKey,
-        decide: impl FnOnce(ModelEpoch, &FilterMatrix) -> PatchDecision,
+        key: &K,
+        decide: impl FnOnce(ModelEpoch, &V) -> PatchDecision<V>,
     ) -> bool {
         let candidate = {
             let st = self.state.lock();
@@ -647,23 +591,40 @@ impl FilterCache {
             }
             st.map
                 .iter()
-                .filter(|(k, _)| {
-                    k.host == key.host
-                        && k.query_hash == key.query_hash
-                        && k.constraint == key.constraint
-                        && k.epoch < key.epoch
-                })
-                .max_by_key(|(k, _)| k.epoch)
-                .map(|(k, slot)| (k.clone(), slot.filter.clone()))
+                .filter(|(k, _)| key.same_identity(k) && k.epoch() < key.epoch())
+                .max_by_key(|(k, _)| k.epoch())
+                .map(|(k, slot)| (k.clone(), slot.value.clone()))
         };
-        let Some((old_key, filter)) = candidate else {
+        let Some((old_key, value)) = candidate else {
             return false;
         };
-        match decide(old_key.epoch, &filter) {
+        match decide(old_key.epoch(), &value) {
             PatchDecision::Skip => false,
-            PatchDecision::Promote => self.rekey(&old_key, key),
+            PatchDecision::Promote => {
+                // Re-check under the lock that nobody filled `key` and
+                // that the candidate survived while the hook ran.
+                let mut st = self.state.lock();
+                if st.map.contains_key(key) {
+                    // A concurrent builder landed the fresh epoch first;
+                    // its `insert` purged the candidate. The goal holds.
+                    return true;
+                }
+                let Some(slot) = st.map.remove(&old_key) else {
+                    return false; // evicted while the hook ran
+                };
+                st.tick += 1;
+                let tick = st.tick;
+                st.map.insert(
+                    key.clone(),
+                    Slot {
+                        value: slot.value,
+                        last_used: tick,
+                    },
+                );
+                self.promotions.fetch_add(1, Ordering::Relaxed);
+                true
+            }
             PatchDecision::Replace(patched) => {
-                debug_assert!(!patched.truncated(), "caching a truncated patch");
                 // `insert`'s same-host staleness purge drops the
                 // superseded candidate in the same lock hold.
                 self.insert(key.clone(), patched);
@@ -678,23 +639,18 @@ impl FilterCache {
     }
 
     /// Drop every entry for `host` (any epoch) — eager invalidation for
-    /// callers that know a namespace is dead (e.g. a removed model).
-    /// Epoch keying already guarantees stale entries are never *served*;
-    /// this only reclaims their memory early.
-    ///
-    /// In-flight builds for the host are *poisoned* under the same hold
-    /// of the in-flight lock that shields the memo purge, so a builder
-    /// completing concurrently cannot re-insert a dead-host entry after
-    /// the purge ([`BuildTicket::complete`] checks the poison flag under
-    /// that lock before memoizing).
+    /// a namespace known to be dead (a removed model). In-flight builds
+    /// for the host are *poisoned* under the same hold of the in-flight
+    /// lock that shields the memo purge, so a builder completing
+    /// concurrently cannot re-insert a dead-host entry afterwards.
     pub fn invalidate_host(&self, host: &str) {
         let fl = self.inflight.lock().unwrap();
         for (k, slot) in fl.iter() {
-            if k.host == host {
+            if k.host() == host {
                 slot.poisoned.store(true, Ordering::Relaxed);
             }
         }
-        self.state.lock().map.retain(|k, _| k.host != host);
+        self.state.lock().map.retain(|k, _| k.host() != host);
         drop(fl);
     }
 
@@ -715,44 +671,42 @@ impl FilterCache {
 
     /// Lifetime lookup misses. A concurrent miss that waited on the
     /// winner's in-flight build counts under
-    /// [`FilterCache::dedup_waits`] instead — only designated builders
+    /// [`EpochCache::dedup_waits`] instead — only designated builders
     /// count here.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of lookups that blocked on another thread's
+    /// Lifetime count of fetches that blocked on another thread's
     /// in-flight build of the same key instead of building their own
-    /// copy (each one is a filter build the dedup table saved).
+    /// copy (each one is a build the dedup table saved).
     pub fn dedup_waits(&self) -> u64 {
         self.dedup_waits.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of lookups shed because an in-flight build's
-    /// waiter cap ([`FilterCache::with_max_waiters`]) was already
-    /// reached.
+    /// Lifetime count of fetches shed because an in-flight build's
+    /// waiter cap ([`EpochCache::with_max_waiters`]) was reached.
     pub fn dedup_shed(&self) -> u64 {
         self.dedup_shed.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of superseded entries re-keyed to a newer epoch
-    /// by [`FilterCache::try_promote`] — each one is a full filter
-    /// rebuild the dirty-set bookkeeping saved.
+    /// by [`EpochCache::try_patch`]'s `Promote` arm — each one is a
+    /// full rebuild the dirty-set bookkeeping saved.
     pub fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of superseded entries repaired in place by
-    /// [`FilterCache::try_patch`]'s `Replace` arm — each one turned a
-    /// full O(|EQ|·|ER|) rebuild into a dirty-window re-scan.
+    /// Lifetime count of superseded entries repaired by
+    /// [`EpochCache::try_patch`]'s `Replace` arm — each one turned a
+    /// full rebuild into a dirty-window re-scan.
     pub fn patches(&self) -> u64 {
         self.patches.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of patch attempts that fell back to a full
-    /// rebuild because the dirty window *added* a feasible candidate
-    /// ([`PatchDecision::Rebuild`]) — the soundness valve that keeps
-    /// additive mutations from being served a stale filter.
+    /// Lifetime count of repair attempts that fell back to a full
+    /// rebuild ([`PatchDecision::Rebuild`]) — the soundness valve that
+    /// keeps additive mutations from being served a stale filter.
     pub fn patch_rebuilds(&self) -> u64 {
         self.patch_rebuilds.load(Ordering::Relaxed)
     }
@@ -763,252 +717,15 @@ impl FilterCache {
     }
 }
 
-impl Default for FilterCache {
+impl<K: EpochKey, V> Default for EpochCache<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// Identity of one memoized substrate coarsening: the hierarchy is a
-/// pure function of the host model bytes (pinned by `host` + `epoch` —
-/// registry epochs never repeat) and the coarsening knobs. Queries and
-/// constraints deliberately do **not** participate: one hierarchy
-/// serves every query against that model snapshot, which is the whole
-/// point of caching it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HierarchyKey {
-    /// Registry model name.
-    pub host: String,
-    /// Model version the hierarchy was coarsened from.
-    pub epoch: ModelEpoch,
-    /// Coarsening knobs (different levels/floor → different hierarchy).
-    pub spec: netembed::HierarchySpec,
-}
-
-struct HierarchySlot {
-    hierarchy: Arc<netembed::SubstrateHierarchy>,
-    last_used: u64,
-}
-
-struct HierarchyState {
-    map: HashMap<HierarchyKey, HierarchySlot>,
-    tick: u64,
-}
-
-/// Default entry cap of [`HierarchyCache::new`]. Hierarchies are
-/// per-model (not per-query), so a service rarely holds more than a
-/// handful of live ones.
-pub const HIERARCHY_CAPACITY: usize = 8;
-
-/// Thread-safe memo of coarsened substrates
-/// ([`SubstrateHierarchy`](netembed::SubstrateHierarchy)), keyed by
-/// [`HierarchyKey`]. Shares the [`FilterCache`] eviction story —
-/// inserting a `(host, epoch)` purges the same host's older epochs
-/// (the registry guarantees they can never be requested again), and an
-/// LRU cap bounds the total.
-///
-/// Unlike the filter cache there is no in-flight dedup table: a
-/// hierarchy build is read-only over the host and deterministic, so
-/// two threads racing on a cold key both build and the second insert
-/// harmlessly replaces the first with an identical structure. The
-/// filter cache needed dedup because misses are per-(query,
-/// constraint) and bursty; hierarchy misses happen once per model
-/// epoch.
-pub struct HierarchyCache {
-    state: Mutex<HierarchyState>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    promotions: AtomicU64,
-}
-
-impl HierarchyCache {
-    /// A cache capped at [`HIERARCHY_CAPACITY`] entries.
-    pub fn new() -> Self {
-        Self::with_capacity(HIERARCHY_CAPACITY)
-    }
-
-    /// A cache holding at most `capacity` hierarchies (≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        HierarchyCache {
-            state: Mutex::new(HierarchyState {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-        }
-    }
-
-    /// The memoized hierarchy for `key`, refreshing its LRU position.
-    pub fn lookup(&self, key: &HierarchyKey) -> Option<Arc<netembed::SubstrateHierarchy>> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        match st.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.hierarchy.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Resolve `key`, building (outside the lock) on a miss. The bool
-    /// is `true` on a hit. Concurrent cold misses may both run `build`;
-    /// see the type docs for why that race is benign.
-    pub fn fetch_or_build(
-        &self,
-        key: &HierarchyKey,
-        build: impl FnOnce() -> netembed::SubstrateHierarchy,
-    ) -> (Arc<netembed::SubstrateHierarchy>, bool) {
-        if let Some(h) = self.lookup(key) {
-            return (h, true);
-        }
-        let built = Arc::new(build());
-        self.insert(key.clone(), built.clone());
-        (built, false)
-    }
-
-    /// Memoize `hierarchy` under `key`. Purges permanently-stale
-    /// entries (same host, older epoch) and LRU-evicts past the cap.
-    pub fn insert(&self, key: HierarchyKey, hierarchy: Arc<netembed::SubstrateHierarchy>) {
-        let mut st = self.state.lock();
-        st.map
-            .retain(|k, _| k.host != key.host || k.epoch >= key.epoch);
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key,
-            HierarchySlot {
-                hierarchy,
-                last_used: tick,
-            },
-        );
-        while st.map.len() > self.capacity {
-            let oldest = st
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over-capacity map");
-            st.map.remove(&oldest);
-        }
-    }
-
-    /// Re-key a superseded hierarchy to `key` when `verdict(old_epoch)`
-    /// certifies nothing changed between the epochs — mirroring
-    /// [`FilterCache::try_promote`]. The candidate is the newest
-    /// memoized entry sharing `key`'s host and coarsening spec with an
-    /// older epoch; the typical verdict checks that the registry's
-    /// composed dirty window between the epochs is `Some` *and empty*
-    /// (a hierarchy aggregates every node, so any non-empty window can
-    /// change the coarsening). Returns `true` when `key` is memoized
-    /// afterwards — the next fetch is a hit, no re-coarsening.
-    pub fn try_promote(
-        &self,
-        key: &HierarchyKey,
-        verdict: impl FnOnce(crate::registry::ModelEpoch) -> bool,
-    ) -> bool {
-        let candidate = {
-            let st = self.state.lock();
-            if st.map.contains_key(key) {
-                return true;
-            }
-            st.map
-                .iter()
-                .filter(|(k, _)| k.host == key.host && k.spec == key.spec && k.epoch < key.epoch)
-                .max_by_key(|(k, _)| k.epoch)
-                .map(|(k, _)| k.clone())
-        };
-        let Some(old_key) = candidate else {
-            return false;
-        };
-        // The verdict consults the registry — run it outside the lock.
-        if !verdict(old_key.epoch) {
-            return false;
-        }
-        let mut st = self.state.lock();
-        if st.map.contains_key(key) {
-            return true;
-        }
-        let Some(slot) = st.map.remove(&old_key) else {
-            return false;
-        };
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key.clone(),
-            HierarchySlot {
-                hierarchy: slot.hierarchy,
-                last_used: tick,
-            },
-        );
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Drop every hierarchy for `host` (any epoch) — eager invalidation
-    /// for removed models, mirroring [`FilterCache::invalidate_host`].
-    pub fn invalidate_host(&self, host: &str) {
-        self.state.lock().map.retain(|k, _| k.host != host);
-    }
-
-    /// Entries currently memoized.
-    pub fn len(&self) -> usize {
-        self.state.lock().map.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime lookup hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime lookup misses (each one coarsened the substrate).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of superseded hierarchies re-keyed to a newer
-    /// epoch by [`HierarchyCache::try_promote`] — each one is a full
-    /// substrate re-coarsening the empty-window check saved.
-    pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for HierarchyCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for HierarchyCache {
+impl<K: EpochKey, V> std::fmt::Debug for EpochCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HierarchyCache")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("promotions", &self.promotions())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for FilterCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterCache")
+        f.debug_struct("EpochCache")
             .field("len", &self.len())
             .field("capacity", &self.capacity)
             .field("hits", &self.hits())
@@ -1222,87 +939,14 @@ mod tests {
     }
 
     #[test]
-    fn promotion_rekeys_the_superseded_entry_in_place() {
-        let cache = FilterCache::new();
-        let host = path_host(4);
-        let f = build(&host);
-        cache.insert(key("h", 1, "a"), f.clone());
-        cache.insert(key("h", 1, "b"), f.clone());
-        let mut seen = None;
-        assert!(cache.try_promote(&key("h", 3, "a"), |old, _| {
-            seen = Some(old);
-            true
-        }));
-        assert_eq!(seen, Some(ModelEpoch(1)));
-        assert_eq!(cache.promotions(), 1);
-        let misses_before = cache.misses();
-        assert!(cache.lookup(&key("h", 3, "a")).is_some(), "promoted");
-        assert_eq!(cache.misses(), misses_before, "promotion → hit, no miss");
-        assert!(
-            cache.lookup(&key("h", 1, "a")).is_none(),
-            "old key re-keyed"
-        );
-        assert!(
-            cache.lookup(&key("h", 1, "b")).is_some(),
-            "sibling constraints stay resident as future candidates"
-        );
-        // Promotions chain: the next bump promotes the epoch-3 slot.
-        assert!(cache.try_promote(&key("h", 5, "a"), |old, _| {
-            assert_eq!(old, ModelEpoch(3), "newest superseded epoch wins");
-            true
-        }));
-        assert_eq!(cache.promotions(), 2);
-    }
-
-    #[test]
-    fn promotion_respects_the_verdict_and_the_key_identity() {
-        let cache = FilterCache::new();
-        let host = path_host(4);
-        let f = build(&host);
-        cache.insert(key("h", 1, "a"), f.clone());
-        assert!(
-            !cache.try_promote(&key("h", 5, "a"), |_, _| false),
-            "a refusing verdict must not promote"
-        );
-        assert!(
-            !cache.try_promote(&key("h", 5, "b"), |_, _| true),
-            "different constraint is a different filter"
-        );
-        assert!(
-            !cache.try_promote(&key("g", 5, "a"), |_, _| true),
-            "different host is a different namespace"
-        );
-        assert!(
-            !cache.try_promote(&key("h", 0, "a"), |_, _| true),
-            "an older target epoch has no superseded candidate"
-        );
-        assert_eq!(cache.promotions(), 0);
-        assert!(cache.lookup(&key("h", 1, "a")).is_some(), "entry untouched");
-    }
-
-    #[test]
-    fn promotion_short_circuits_when_the_key_is_already_memoized() {
-        let cache = FilterCache::new();
-        let host = path_host(4);
-        let f = build(&host);
-        cache.insert(key("h", 5, "a"), f.clone());
-        assert!(
-            cache.try_promote(&key("h", 5, "a"), |_, _| panic!(
-                "verdict must not run when the key is already present"
-            )),
-            "an already-memoized key reports success"
-        );
-        assert_eq!(cache.promotions(), 0, "nothing was re-keyed");
-    }
-
-    #[test]
     fn concurrent_misses_build_once_and_share_the_arc() {
         // The ISSUE's two-thread contract: the first miss becomes the
         // designated builder (the only `miss`); the second blocks on the
         // in-flight table and receives the *same* `Arc`, counted as a
-        // dedup wait, not a miss. Deterministic: the cache is empty and
-        // the key is registered in-flight before the second thread
-        // starts, so it can only ever resolve as `Waited`.
+        // dedup wait, not a miss. Deterministic: the key is registered
+        // in-flight before the second thread starts, and the build is
+        // completed only after that thread has joined it, so it can
+        // only ever resolve as `Waited`.
         let cache = FilterCache::new();
         let host = path_host(4);
         let k = key("h", 1, "true");
@@ -1325,6 +969,11 @@ mod tests {
                     }
                 ),
             });
+            // Handshake: complete only once the waiter holds its slot
+            // on the in-flight build, so it cannot arrive late and hit.
+            while ticket.slot.waiters.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
             let built = build(&host);
             ticket.complete(built.clone());
             let waited = waiter.join().unwrap();
@@ -1458,10 +1107,12 @@ mod tests {
                     _ => panic!("the probe must abort the wait"),
                 }
             });
-            // Give the waiter time to actually block, then fire the
-            // probe; the builder never completes, so only cancellation
-            // can release the waiter.
-            std::thread::sleep(Duration::from_millis(10));
+            // Fire the probe once the waiter holds its slot on the
+            // in-flight build; the builder never completes, so only
+            // cancellation can release the waiter.
+            while ticket.slot.waiters.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
             cancelled.store(true, Ordering::Relaxed);
             waiter.join().unwrap();
         });
@@ -1491,6 +1142,9 @@ mod tests {
                 FilterFetch::Waited(f) => f,
                 _ => panic!("joiner must share the in-flight build"),
             });
+            while ticket.slot.waiters.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
             ticket.complete(build(&host));
             waiter.join().unwrap();
         });
@@ -1572,6 +1226,80 @@ mod tests {
         )));
     }
 
+    #[test]
+    fn promotion_rekeys_the_superseded_entry_in_place() {
+        let cache = FilterCache::new();
+        let host = path_host(4);
+        let f = build(&host);
+        cache.insert(key("h", 1, "a"), f.clone());
+        cache.insert(key("h", 1, "b"), f.clone());
+        let mut seen = None;
+        assert!(cache.try_patch(&key("h", 3, "a"), |old, _| {
+            seen = Some(old);
+            PatchDecision::Promote
+        }));
+        assert_eq!(seen, Some(ModelEpoch(1)));
+        assert_eq!(cache.promotions(), 1);
+        let misses_before = cache.misses();
+        assert!(cache.lookup(&key("h", 3, "a")).is_some(), "promoted");
+        assert_eq!(cache.misses(), misses_before, "promotion → hit, no miss");
+        assert!(
+            cache.lookup(&key("h", 1, "a")).is_none(),
+            "old key re-keyed"
+        );
+        assert!(
+            cache.lookup(&key("h", 1, "b")).is_some(),
+            "sibling constraints stay resident as future candidates"
+        );
+        // Promotions chain: the next bump promotes the epoch-3 slot.
+        assert!(cache.try_patch(&key("h", 5, "a"), |old, _| {
+            assert_eq!(old, ModelEpoch(3), "newest superseded epoch wins");
+            PatchDecision::Promote
+        }));
+        assert_eq!(cache.promotions(), 2);
+    }
+
+    #[test]
+    fn promotion_respects_the_verdict_and_the_key_identity() {
+        let cache = FilterCache::new();
+        let host = path_host(4);
+        let f = build(&host);
+        cache.insert(key("h", 1, "a"), f.clone());
+        assert!(
+            !cache.try_patch(&key("h", 5, "a"), |_, _| PatchDecision::Skip),
+            "a refusing verdict must not promote"
+        );
+        assert!(
+            !cache.try_patch(&key("h", 5, "b"), |_, _| PatchDecision::Promote),
+            "different constraint is a different filter"
+        );
+        assert!(
+            !cache.try_patch(&key("g", 5, "a"), |_, _| PatchDecision::Promote),
+            "different host is a different namespace"
+        );
+        assert!(
+            !cache.try_patch(&key("h", 0, "a"), |_, _| PatchDecision::Promote),
+            "an older target epoch has no superseded candidate"
+        );
+        assert_eq!(cache.promotions(), 0);
+        assert!(cache.lookup(&key("h", 1, "a")).is_some(), "entry untouched");
+    }
+
+    #[test]
+    fn promotion_short_circuits_when_the_key_is_already_memoized() {
+        let cache = FilterCache::new();
+        let host = path_host(4);
+        let f = build(&host);
+        cache.insert(key("h", 5, "a"), f.clone());
+        assert!(
+            cache.try_patch(&key("h", 5, "a"), |_, _| panic!(
+                "verdict must not run when the key is already present"
+            )),
+            "an already-memoized key reports success"
+        );
+        assert_eq!(cache.promotions(), 0, "nothing was re-keyed");
+    }
+
     fn hkey(host: &str, epoch: u64) -> HierarchyKey {
         HierarchyKey {
             host: host.to_string(),
@@ -1588,9 +1316,9 @@ mod tests {
         let h = Arc::new(netembed::SubstrateHierarchy::build(&host, &spec));
         cache.insert(hkey("h", 1), h.clone());
         let mut seen = None;
-        assert!(cache.try_promote(&hkey("h", 3), |old| {
+        assert!(cache.try_patch(&hkey("h", 3), |old, _| {
             seen = Some(old);
-            true
+            PatchDecision::Promote
         }));
         assert_eq!(seen, Some(ModelEpoch(1)));
         assert_eq!(cache.promotions(), 1);
@@ -1598,17 +1326,17 @@ mod tests {
         assert!(Arc::ptr_eq(&got, &h));
         assert!(cache.lookup(&hkey("h", 1)).is_none(), "old key re-keyed");
         // Refusal and identity mismatches fall through.
-        assert!(!cache.try_promote(&hkey("h", 5), |_| false));
-        assert!(!cache.try_promote(&hkey("g", 5), |_| true));
+        assert!(!cache.try_patch(&hkey("h", 5), |_, _| PatchDecision::Skip));
+        assert!(!cache.try_patch(&hkey("g", 5), |_, _| PatchDecision::Promote));
         let mut wider = hkey("h", 5);
         wider.spec.min_nodes += 1;
         assert!(
-            !cache.try_promote(&wider, |_| true),
+            !cache.try_patch(&wider, |_, _| PatchDecision::Promote),
             "other spec, other key"
         );
         assert_eq!(cache.promotions(), 1);
         // Already-memoized target short-circuits without a verdict.
-        assert!(cache.try_promote(&hkey("h", 3), |_| panic!(
+        assert!(cache.try_patch(&hkey("h", 3), |_, _| panic!(
             "verdict must not run when the key is already present"
         )));
     }

@@ -108,8 +108,8 @@
 //! *patches* a clone with
 //! [`FilterMatrix::patch`](netembed::FilterMatrix::patch) and re-keys
 //! it, and a window that adds a feasible candidate falls back to a full
-//! rebuild ([`FilterCache::try_patch`]; see the cache module's "Epoch
-//! patching" docs) — and the admission layer reads the feed's health
+//! rebuild ([`EpochCache::try_patch`]; see the cache module's "Epoch
+//! repair" docs) — and the admission layer reads the feed's health
 //! for the staleness gate below.
 //!
 //! ### Staleness and degradation
@@ -246,7 +246,9 @@ pub use admission::{
     AdmissionPolicy, FaultPlan, Priority, ServiceConfig, ShedCounters, ShedMode, ShedReason,
     StalenessPolicy,
 };
-pub use cache::{FilterCache, FilterKey, HierarchyCache, HierarchyKey, PatchDecision};
+pub use cache::{
+    EpochCache, EpochKey, FilterCache, FilterKey, HierarchyCache, HierarchyKey, PatchDecision,
+};
 pub use feed::{
     DeltaMutation, DeltaStream, FeedConfig, FeedSnapshot, FeedState, FeedStatus, FeedTelemetry,
     RegistryDelta, RegistryFeed, SnapshotSource,
@@ -261,27 +263,12 @@ pub use reservation::{Reservation, ReservationError, ReservationManager};
 pub use schedule::{Allocation, ScheduleError, ScheduledEmbedding, Scheduler, Tick};
 
 use netembed::{
-    Deadline, EmbedScratch, HistogramSnapshot, Mapping, Options, Outcome, PatchOutcome, Problem,
-    ProblemError, SearchStats,
+    EmbedScratch, HistogramSnapshot, Mapping, Options, Outcome, ProblemError, SearchStats,
 };
 use netgraph::Network;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Outcome bits of one [`NetEmbedService::repair_filter`] call, stamped
-/// into the requesting batch's [`SearchStats`] (`patches` /
-/// `patch_rebuilds`) so per-request telemetry shows which epoch windows
-/// were repaired in place and which forced a rebuild.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FilterRepair {
-    /// A superseded cached filter was cloned, patched in place and
-    /// re-keyed for this window (a full rebuild saved).
-    pub patched: bool,
-    /// The window added a feasible candidate (or the patch could not
-    /// run): the normal miss/build path follows.
-    pub patch_rebuild: bool,
-}
 
 /// A query submitted to the service.
 #[derive(Debug, Clone)]
@@ -549,7 +536,8 @@ impl NetEmbedService {
     /// Coarsen `host`'s current model snapshot under `spec` and memoize
     /// the result, so a later hierarchical submit pays refinement and
     /// the restricted filter build only — not construction. Returns the
-    /// cached hierarchy when one already exists for the current epoch.
+    /// cached hierarchy when one already exists for the current epoch,
+    /// and waits for a coarsening another caller already has in flight.
     /// This is the warm-up path for latency-sensitive callers on large
     /// substrates (construction at 10^5+ nodes is seconds of work that
     /// should not land on the first query's budget).
@@ -567,17 +555,8 @@ impl NetEmbedService {
             epoch,
             spec,
         };
-        // Empty-window promotion: an epoch bump that provably changed
-        // no node re-keys the superseded hierarchy instead of
-        // re-coarsening the whole substrate.
-        self.hierarchies.try_promote(&key, |old| {
-            self.registry
-                .dirty_between(host, old, epoch)
-                .is_some_and(|dirty| dirty.is_empty())
-        });
-        let (hier, _hit) = self
-            .hierarchies
-            .fetch_or_build(&key, || netembed::SubstrateHierarchy::build(&net, &spec));
+        let (hier, _hit) =
+            prepared::fetch_hierarchy(self, &key, &net, None).expect("no cancel probe");
         Ok(hier)
     }
 
@@ -655,53 +634,6 @@ impl NetEmbedService {
             lag: self.feed.lag(),
             epoch,
         })
-    }
-
-    /// Dirty-window cache repair (see [`FilterCache::try_patch`] and
-    /// the cache module's "Epoch patching" docs): before resolving
-    /// `key` through the cache, classify the accumulated dirty window
-    /// against the newest superseded same-identity entry —
-    ///
-    /// * window unknowable (broken delta chain, plain `update`) →
-    ///   skip, normal miss/build;
-    /// * window provably empty → *promote* the entry in place;
-    /// * otherwise → clone the superseded matrix and repair it with
-    ///   [`FilterMatrix::patch`](netembed::FilterMatrix::patch) under
-    ///   `problem` (compiled at `key.epoch`); a removal-only window
-    ///   re-keys the repaired clone, while a window that *added* a
-    ///   feasible candidate falls back to a full rebuild.
-    ///
-    /// Routing every non-empty window through the patch path is what
-    /// makes epoch reuse sound for additive mutations: the old
-    /// touched-host intersection could not see a dirty node becoming
-    /// newly admissible outside the cached candidate set, and would
-    /// promote a filter that silently misses solutions.
-    pub(crate) fn repair_filter(&self, key: &FilterKey, problem: &Problem<'_>) -> FilterRepair {
-        let mut repair = FilterRepair::default();
-        let outcome = &mut repair;
-        self.cache.try_patch(key, |old, filter| {
-            match self.registry.dirty_between(&key.host, old, key.epoch) {
-                None => PatchDecision::Skip,
-                Some(dirty) if dirty.is_empty() => PatchDecision::Promote,
-                Some(dirty) => {
-                    let ids: Vec<netgraph::NodeId> = dirty.iter().map(netgraph::NodeId).collect();
-                    let mut repaired = (*filter).clone();
-                    let mut dl = Deadline::unlimited();
-                    let mut stats = SearchStats::default();
-                    match repaired.patch(problem, &ids, &mut dl, &mut stats) {
-                        Ok(PatchOutcome::Patched) => {
-                            outcome.patched = true;
-                            PatchDecision::Replace(std::sync::Arc::new(repaired))
-                        }
-                        Ok(PatchOutcome::NeedsRebuild) | Err(_) => {
-                            outcome.patch_rebuild = true;
-                            PatchDecision::Rebuild
-                        }
-                    }
-                }
-            }
-        });
-        repair
     }
 
     /// The parked-scratch cap in force right now: an explicit
@@ -911,14 +843,15 @@ pub struct ServiceTelemetry {
     /// the substrate once).
     pub hierarchy_cache_misses: u64,
     /// Lifetime superseded hierarchies re-keyed across an empty dirty
-    /// window ([`HierarchyCache::try_promote`]) — re-coarsenings saved.
+    /// window ([`EpochCache::try_patch`]'s `Promote` arm) —
+    /// re-coarsenings saved.
     pub hierarchy_promotions: u64,
     /// Lifetime [`FilterCache`] entries re-keyed across an empty dirty
-    /// window ([`FilterCache::try_promote`]) — filter rebuilds saved
-    /// without touching a single cell.
+    /// window ([`EpochCache::try_patch`]'s `Promote` arm) — filter
+    /// rebuilds saved without touching a single cell.
     pub filter_cache_promotions: u64,
     /// Lifetime [`FilterCache`] entries repaired in place across a
-    /// removal-only dirty window ([`FilterCache::try_patch`]) — filter
+    /// removal-only dirty window ([`EpochCache::try_patch`]) — filter
     /// rebuilds turned into dirty-window re-scans.
     pub filter_cache_patches: u64,
     /// Lifetime patch attempts that fell back to a full rebuild
@@ -1030,6 +963,96 @@ mod tests {
             .unwrap();
         assert_eq!(resp.mappings().len(), 2);
         assert!(matches!(resp.outcome, Outcome::Complete(_)));
+    }
+
+    /// A ring of `n` hosts, large enough that coarsening takes real
+    /// time, so concurrent cold requests overlap on it.
+    fn ring_host(n: usize) -> Network {
+        let mut h = Network::new(Direction::Undirected);
+        let ids: Vec<_> = (0..n).map(|i| h.add_node(format!("r{i}"))).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let e = h.add_edge(id, ids[(i + 1) % n]);
+            h.set_edge_attr(e, "avgDelay", (i % 13) as f64);
+        }
+        h
+    }
+
+    #[test]
+    fn concurrent_cold_hierarchical_requests_coarsen_once() {
+        const N: usize = 4;
+        let svc = NetEmbedService::new();
+        svc.registry().register("ring", ring_host(4000));
+        let flat = QueryRequest {
+            host: "ring".into(),
+            query: edge_query(),
+            constraint: "rEdge.avgDelay <= 1.0".into(),
+            options: Options::default(),
+        };
+        let hier = QueryRequest {
+            options: Options {
+                hierarchy: Some(netembed::HierarchySpec::default()),
+                ..Options::default()
+            },
+            ..flat.clone()
+        };
+        let barrier = std::sync::Barrier::new(N);
+        let responses: Vec<QueryResponse> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..N)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        svc.submit(&hier).unwrap()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let cache = svc.hierarchy_cache();
+        assert_eq!(cache.misses(), 1, "N cold requests must coarsen once");
+        assert_eq!(cache.hits() + cache.dedup_waits(), N as u64 - 1);
+        assert_eq!(cache.in_flight(), 0);
+        let as_set = |r: &QueryResponse| {
+            r.mappings()
+                .iter()
+                .cloned()
+                .collect::<std::collections::HashSet<_>>()
+        };
+        let oracle = svc.submit(&flat).unwrap();
+        assert!(matches!(oracle.outcome, Outcome::Complete(_)));
+        assert!(!oracle.mappings().is_empty());
+        for r in &responses {
+            assert!(matches!(r.outcome, Outcome::Complete(_)));
+            assert_eq!(as_set(r), as_set(&oracle), "hierarchical ≠ flat answer");
+        }
+    }
+
+    #[test]
+    fn hierarchy_build_completed_after_remove_model_memoizes_nothing() {
+        let svc = NetEmbedService::new();
+        svc.registry().register("h", triangle_host());
+        let (net, epoch) = svc.registry().get("h").unwrap();
+        let key = HierarchyKey {
+            host: "h".into(),
+            epoch,
+            spec: netembed::HierarchySpec::default(),
+        };
+        let cache::Fetch::MustBuild(ticket) = svc.hierarchy_cache().fetch_or_build(&key, None)
+        else {
+            panic!("a cold key must hand out a build ticket");
+        };
+        assert!(svc.remove_model("h").is_some());
+        ticket.complete(std::sync::Arc::new(netembed::SubstrateHierarchy::build(
+            &net, &key.spec,
+        )));
+        assert_eq!(
+            svc.hierarchy_cache().len(),
+            0,
+            "a poisoned completion must not memoize"
+        );
+        assert!(
+            svc.hierarchy_cache().lookup(&key).is_none(),
+            "dead-host coarsening resurrected"
+        );
     }
 
     #[test]

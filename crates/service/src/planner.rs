@@ -135,7 +135,7 @@ use crate::admission::{Priority, ShedMode, ShedReason};
 use crate::cache::FilterKey;
 use crate::{NetEmbedService, QueryRequest, QueryResponse, ServiceError};
 use cexpr::Expr;
-use netembed::{FilterMatrix, Options, Outcome, Problem, SearchStats};
+use netembed::{Options, Outcome, Problem, SearchStats};
 use netgraph::Network;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -817,20 +817,14 @@ impl<'svc> Planner<'svc> {
             }
         };
         let mut scratch = self.svc.checkout_scratch();
-        // Epoch repair: a superseded-epoch cached filter is re-keyed
-        // across a clean window, patched in place across a subtractive
-        // one, or left to the miss below to rebuild (same
-        // classification as the prepared path); the cache's
-        // `patches`/`promotions` counters carry the evidence into
-        // telemetry.
-        self.svc.repair_filter(&key, &problem);
         // Stamped once per group: every member dispatches against the
         // same epoch, so they share one staleness verdict.
         let staleness = self.svc.current_staleness(key.epoch);
-        // The group pin: the first member to obtain a filter (hit or
-        // build) fixes the exact `Arc` every later member reuses —
-        // same eviction immunity as a `PreparedQuery` batch.
-        let mut pinned: Option<Arc<FilterMatrix>> = None;
+        // One acquisition stage per group (the same one a
+        // `PreparedQuery` batch uses): one epoch repair, credited to the
+        // first member served, and one pin — the first member to obtain
+        // a filter fixes the exact `Arc` every later member reuses.
+        let mut stage = crate::prepared::Acquire::service(self.svc, key, &problem);
         for member in &members {
             if self.take_cancelled(shard, member.id) {
                 continue;
@@ -865,7 +859,7 @@ impl<'svc> Planner<'svc> {
                 }
                 None => member.options.clone(),
             };
-            let had_pin = pinned.is_some();
+            let had_pin = stage.is_pinned();
             let run_started = Instant::now();
             // Cancel propagation: if this member's ticket is dropped
             // while the dispatcher works on its behalf, the probe stops
@@ -884,40 +878,27 @@ impl<'svc> Planner<'svc> {
                 if self.svc.faults().should_panic_run() {
                     panic!("injected planner fault");
                 }
-                crate::prepared::run_cached(
-                    crate::prepared::RunCtx::service(self.svc, Some(&cancel_probe)),
-                    &key,
-                    &problem,
-                    &run_options,
-                    &mut scratch,
-                    &mut pinned,
-                )
-                .and_then(|mut result| {
-                    // Same safety net as every service path: never
-                    // return a mapping the compiled problem can't
-                    // re-verify.
-                    for m in &result.mappings {
-                        netembed::check_mapping(&problem, m)
-                            .map_err(ServiceError::VerificationFailed)?;
-                    }
-                    if had_pin && result.stats.filter_cache_hits > 0 {
-                        // This member rode the group pin: it never
-                        // touched the shared cache, so the credit moves
-                        // from `filter_cache_hits` to
-                        // `coalesced_requests` — the counter identity
-                        // in the module docs depends on the two being
-                        // mutually exclusive.
-                        result.stats.filter_cache_hits -= 1;
-                        result.stats.coalesced_requests += 1;
-                        self.coalesced_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                    result.stats.staleness_lag = staleness.map_or(0, |s| s.lag);
-                    Ok(QueryResponse {
-                        outcome: result.outcome,
-                        stats: result.stats,
-                        staleness,
+                stage
+                    .run(&problem, &run_options, &mut scratch, Some(&cancel_probe))
+                    .map(|mut result| {
+                        if had_pin && result.stats.filter_cache_hits > 0 {
+                            // This member rode the group pin: it never
+                            // touched the shared cache, so the credit moves
+                            // from `filter_cache_hits` to
+                            // `coalesced_requests` — the counter identity
+                            // in the module docs depends on the two being
+                            // mutually exclusive.
+                            result.stats.filter_cache_hits -= 1;
+                            result.stats.coalesced_requests += 1;
+                            self.coalesced_total.fetch_add(1, Ordering::Relaxed);
+                        }
+                        result.stats.staleness_lag = staleness.map_or(0, |s| s.lag);
+                        QueryResponse {
+                            outcome: result.outcome,
+                            stats: result.stats,
+                            staleness,
+                        }
                     })
-                })
             }));
             self.svc
                 .overload_shard(shard)
@@ -1685,7 +1666,7 @@ mod tests {
                 let problem = Problem::from_parsed(&q, &model, &expr).unwrap();
                 let mut dl = netembed::Deadline::unlimited();
                 let mut stats = SearchStats::default();
-                FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap()
+                netembed::FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap()
             }));
             waiter.join().unwrap();
         });

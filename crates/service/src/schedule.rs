@@ -25,7 +25,7 @@
 //! windows.
 
 use crate::cache::{network_fingerprint, FilterCache, FilterKey};
-use crate::prepared::run_cached;
+use crate::prepared::Acquire;
 use crate::registry::ModelEpoch;
 use crate::ServiceError;
 use netembed::{EmbedScratch, Mapping, Options, Problem, ProblemError, SearchMode};
@@ -275,19 +275,14 @@ impl Scheduler {
                 query_hash,
                 constraint: constraint.to_string(),
             };
-            // Each start probes its own key once — no batch-local pin.
-            let result = run_cached(
-                crate::prepared::RunCtx::bare(&self.cache),
-                &key,
-                &problem,
-                &options,
-                &mut self.scratch,
-                &mut None,
-            )
-            .map_err(|e| match e {
-                ServiceError::Problem(p) => ScheduleError::from(p),
-                other => ScheduleError::Problem(other.to_string()),
-            })?;
+            // Each start probes its own key once, through a bare stage:
+            // no registry behind the residual models, so no repair.
+            let result = Acquire::bare(&self.cache, key)
+                .run(&problem, &options, &mut self.scratch, None)
+                .map_err(|e| match e {
+                    ServiceError::Problem(p) => ScheduleError::from(p),
+                    other => ScheduleError::Problem(other.to_string()),
+                })?;
             for mapping in &result.mappings {
                 if self.window_has_capacity(query, mapping, start, start + duration) {
                     let deductions = self.plan_deductions(query, mapping);

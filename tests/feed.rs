@@ -474,6 +474,23 @@ fn tracked_epoch_bump_patches_in_place_and_detects_additions() {
             .any(|m| m.iter().any(|(_, r)| r == NodeId(4))),
         "the rebuild must see the newly admissible node"
     );
+
+    // The planner serves through the same acquisition stage, so a
+    // planner-served response reports the repair it triggered too.
+    svc.registry()
+        .update_dirty("h", DirtySet::from_ids([0]), |net| {
+            net.set_node_attr(NodeId(0), "cpu", 6.0);
+        })
+        .unwrap();
+    let planned = svc.planner().run(&req).unwrap();
+    assert_eq!(planned.stats.filter_cache_hits, 1, "planner patch hits");
+    assert_eq!(
+        planned.stats.patches, 1,
+        "planner responses report the patch"
+    );
+    assert_eq!(svc.cache().patches(), 3);
+    assert_eq!(svc.cache().misses(), misses_before + 1);
+    assert!(*cached_filter(&svc, &req) == fresh_filter(&svc, &req));
 }
 
 /// Churn rounds for the removal-only gate: CI smoke by default, the
