@@ -5,8 +5,9 @@
 //!
 //! * **build** — first-stage filter construction only
 //!   (`HashFilterMatrix::build` vs `FilterMatrix::build`);
-//! * **build_par** — the same construction via `FilterMatrix::build_par`
-//!   at [`PAR_THREADS`] threads (bitwise-identical output; the JSON also
+//! * **build_par_ns** — the same construction via
+//!   `FilterMatrix::build_par_pooled` at [`PAR_THREADS`] threads on one
+//!   warm `WorkerPool` (bitwise-identical output; the JSON also
 //!   records the machine's core count, since the speedup is bounded by
 //!   physical parallelism);
 //! * **search** — second stage only, over a prebuilt filter: the seed's
@@ -55,7 +56,7 @@ use netembed::filter::reference::{self, HashFilterMatrix};
 use netembed::order::{compute_order, predecessors};
 use netembed::{
     ecf, parallel, CollectUpTo, Deadline, FilterMatrix, NodeOrder, Options, ParallelScratch,
-    Problem, SearchMode, SearchScratch, SearchStats, StealPolicy,
+    Problem, SearchMode, SearchScratch, SearchStats, StealPolicy, WorkerPool,
 };
 use netgraph::Network;
 use service::{NetEmbedService, QueryRequest};
@@ -71,7 +72,7 @@ const MATCH_CAP: usize = 2000;
 /// the µs-scale fig11 searches need the extra samples for a stable
 /// median on a busy box.
 const SAMPLES: usize = 51;
-/// Thread count for the `build_par` series.
+/// Thread count for the `build_par_ns` series.
 const PAR_THREADS: usize = 4;
 /// Worker count for the `search_par`/`search_steal` series.
 const STEAL_WORKERS: usize = 4;
@@ -133,10 +134,18 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let f = FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap();
         f.cell_count() as u64
     });
+    let mut build_pool = WorkerPool::new();
     let build_par_ns = median_ns(|| {
         let mut dl = Deadline::unlimited();
         let mut stats = SearchStats::default();
-        let f = FilterMatrix::build_par(&problem, PAR_THREADS, &mut dl, &mut stats).unwrap();
+        let f = FilterMatrix::build_par_pooled(
+            &problem,
+            PAR_THREADS,
+            &mut dl,
+            &mut stats,
+            &mut build_pool,
+        )
+        .unwrap();
         f.cell_count() as u64
     });
 
@@ -154,14 +163,16 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let mut sink = CollectUpTo::new(cap);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
+        let filter = FilterMatrix::build(&problem, &mut dl, &mut stats).unwrap();
         ecf::search(
             &problem,
+            &filter,
             NodeOrder::AscendingCandidates,
             &mut dl,
             &mut sink,
             &mut stats,
-        )
-        .unwrap();
+            &mut SearchScratch::new(),
+        );
         sink.solutions.len()
     };
 
@@ -185,13 +196,14 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let mut sink = CollectUpTo::new(cap);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        ecf::search_prebuilt(
+        ecf::search(
             &problem,
             &csr_filter,
             NodeOrder::AscendingCandidates,
             &mut dl,
             &mut sink,
             &mut stats,
+            &mut SearchScratch::new(),
         );
         sink.solutions.len() as u64
     });
@@ -205,7 +217,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         let mut sink = CollectUpTo::new(cap);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        ecf::search_prebuilt_with_scratch(
+        ecf::search(
             &problem,
             &csr_filter,
             NodeOrder::AscendingCandidates,
@@ -225,7 +237,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
     let run_par = |policy: StealPolicy, scratch: &mut ParallelScratch| -> u64 {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, _) = parallel::search_prebuilt_with_policy(
+        let (sols, _) = parallel::search(
             &problem,
             &csr_filter,
             STEAL_WORKERS,
@@ -321,7 +333,7 @@ fn run_scenario_capped(name: &str, host: &Network, wl: &QueryWorkload, cap: usiz
         embed_csr_ns,
     };
     println!(
-        "{:<24} nq={:<3} nr={:<4} sols={:<5} build {:>9} -> {:>9} ns ({:.2}x)   build_par({PAR_THREADS}t) {:>9} ns ({:.2}x)   search {:>9} -> {:>9} ns ({:.2}x)   scratch {:>9} ns ({:.2}x)   par({STEAL_WORKERS}w) {:>9} ns   steal({STEAL_WORKERS}w) {:>9} ns ({:.2}x)   pool cold {:>9} -> warm {:>9} ns ({:.2}x)   submit({PLANNER_CLIENTS}c) {:>10} -> planner {:>10} ns ({:.2}x)   embed {:>10} -> {:>10} ns ({:.2}x)",
+        "{:<24} nq={:<3} nr={:<4} sols={:<5} build {:>9} -> {:>9} ns ({:.2}x)   build_pooled({PAR_THREADS}t) {:>9} ns ({:.2}x)   search {:>9} -> {:>9} ns ({:.2}x)   scratch {:>9} ns ({:.2}x)   par({STEAL_WORKERS}w) {:>9} ns   steal({STEAL_WORKERS}w) {:>9} ns ({:.2}x)   pool cold {:>9} -> warm {:>9} ns ({:.2}x)   submit({PLANNER_CLIENTS}c) {:>10} -> planner {:>10} ns ({:.2}x)   embed {:>10} -> {:>10} ns ({:.2}x)",
         row.name,
         row.nq,
         row.nr,

@@ -129,7 +129,7 @@ fn run_scenario(name: &str, host: Network, query: Network, constraint: &str) -> 
         Engine::run(&problem, &flat_opts).unwrap().mappings.len() as u64
     });
     let hier_run_ns = median_ns(SAMPLES, || {
-        Engine::run_hier(&problem, &hier, &hier_opts, &mut scratch)
+        Engine::run_prebuilt(&problem, &hier, &hier_opts, &mut scratch)
             .unwrap()
             .mappings
             .len() as u64
@@ -137,7 +137,7 @@ fn run_scenario(name: &str, host: Network, query: Network, constraint: &str) -> 
 
     // Telemetry from one untimed run per path.
     let fres = Engine::run(&problem, &flat_opts).unwrap();
-    let hres = Engine::run_hier(&problem, &hier, &hier_opts, &mut scratch).unwrap();
+    let hres = Engine::run_prebuilt(&problem, &hier, &hier_opts, &mut scratch).unwrap();
     assert!(
         hres.outcome.found_any() && fres.outcome.found_any(),
         "{name}: both paths must find a mapping unbudgeted"
@@ -152,7 +152,7 @@ fn run_scenario(name: &str, host: Network, query: Network, constraint: &str) -> 
         },
     )
     .unwrap();
-    let budget_hier = Engine::run_hier(
+    let budget_hier = Engine::run_prebuilt(
         &problem,
         &hier,
         &Options {

@@ -53,74 +53,16 @@ pub enum SearchEnd {
     Timeout,
 }
 
-/// Run the full ECF pipeline: build filters, order nodes, search.
-/// Solutions stream into `sink`; counters into `stats`.
+/// Order the query nodes and run the DFS over an already constructed
+/// filter, streaming solutions into `sink`. One filter build serves any
+/// number of searches (different orders, sinks or deadlines), and with
+/// a caller-held `scratch` a repeated search allocates nothing at all
+/// (see the `scratch_reuse` series of `benches/abl_filter_layout.rs`).
+/// `stats.elapsed` covers only this call; [`crate::Engine`] owns the
+/// build-plus-search clock.
+#[allow(clippy::too_many_arguments)]
 pub fn search(
     problem: &Problem<'_>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-) -> Result<SearchEnd, crate::problem::ProblemError> {
-    search_with_scratch(
-        problem,
-        order,
-        deadline,
-        sink,
-        stats,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`search`] with a caller-held [`SearchScratch`]: the per-depth frame
-/// arena survives across calls, so batch callers pay the DFS setup once.
-pub fn search_with_scratch(
-    problem: &Problem<'_>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-) -> Result<SearchEnd, crate::problem::ProblemError> {
-    let start = std::time::Instant::now();
-    let filter = FilterMatrix::build(problem, deadline, stats)?;
-    let end = search_prebuilt_with_scratch(problem, &filter, order, deadline, sink, stats, scratch);
-    stats.elapsed = start.elapsed();
-    stats.cpu_time = stats.elapsed;
-    Ok(end)
-}
-
-/// The second stage alone: order nodes and run the DFS over an already
-/// constructed filter. Lets callers amortize one filter build across
-/// several searches (different orders, sinks, or deadlines) and gives the
-/// `abl_filter_layout` ablation a search-only measurement. `stats.elapsed`
-/// covers only this call.
-pub fn search_prebuilt(
-    problem: &Problem<'_>,
-    filter: &FilterMatrix,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    sink: &mut dyn SolutionSink,
-    stats: &mut SearchStats,
-) -> SearchEnd {
-    search_prebuilt_with_scratch(
-        problem,
-        filter,
-        order,
-        deadline,
-        sink,
-        stats,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`search_prebuilt`] with a caller-held [`SearchScratch`]. With both
-/// the filter and the scratch reused, a repeated search allocates
-/// nothing at all (see the `scratch_reuse` series of
-/// `benches/abl_filter_layout.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt_with_scratch(
-    problem: &Problem<'_>,
     filter: &FilterMatrix,
     order: NodeOrder,
     deadline: &mut Deadline,
@@ -128,42 +70,7 @@ pub fn search_prebuilt_with_scratch(
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
 ) -> SearchEnd {
-    let start = std::time::Instant::now();
-    // Filter-phase size is reported even for prebuilt (and truncated)
-    // runs, so timeout rows stay comparable across harness tables.
-    stats.filter_cells = filter.cell_count() as u64;
-    if filter.truncated() {
-        stats.timed_out = true;
-        stats.elapsed = start.elapsed();
-        stats.cpu_time = stats.elapsed;
-        return SearchEnd::Timeout;
-    }
-    // Phase boundary: an already-expired deadline must not be masked by
-    // the strided poll counter carrying over from the build phase.
-    if deadline.check_now() {
-        stats.timed_out = true;
-        stats.elapsed = start.elapsed();
-        stats.cpu_time = stats.elapsed;
-        return SearchEnd::Timeout;
-    }
-    let node_order = compute_order(problem.query, filter, order);
-    let preds = predecessors(problem.query, &node_order);
-    let end = run_dfs(
-        problem,
-        filter,
-        &node_order,
-        &preds,
-        deadline,
-        sink,
-        stats,
-        None,
-        None,
-        scratch,
-    );
-    stats.timed_out |= end == SearchEnd::Timeout;
-    stats.elapsed = start.elapsed();
-    stats.cpu_time = stats.elapsed;
-    end
+    run_dfs(problem, filter, order, deadline, sink, stats, None, scratch)
 }
 
 /// Per-depth reusable DFS state: the candidate list for this level and
@@ -235,36 +142,53 @@ pub(crate) fn leave_prefix(scratch: &mut SearchScratch, order: &[NodeId], prefix
     }
 }
 
-/// The DFS core. `shuffle` randomizes candidate order at every level
-/// (RWB); `root_override` restricts the root level to the given candidates
-/// (parallel workers). All mutable traversal state lives in `scratch`.
+/// The sequential DFS shared by ECF and RWB: order the query nodes
+/// and traverse from the root. `shuffle` randomizes candidate order at
+/// every level (RWB). All mutable traversal state lives in `scratch`;
+/// `stats.elapsed` covers only this call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_dfs(
     problem: &Problem<'_>,
     filter: &FilterMatrix,
-    order: &[NodeId],
-    preds: &[Vec<Pred>],
+    order: NodeOrder,
     deadline: &mut Deadline,
     sink: &mut dyn SolutionSink,
     stats: &mut SearchStats,
     shuffle: Option<&mut StdRng>,
-    root_override: Option<&[NodeId]>,
     scratch: &mut SearchScratch,
 ) -> SearchEnd {
+    let start = std::time::Instant::now();
+    // Filter-phase size is reported even for prebuilt (and truncated)
+    // runs, so timeout rows stay comparable across harness tables.
+    stats.filter_cells = filter.cell_count() as u64;
+    // Phase boundary: an already-expired deadline must not be masked by
+    // the strided poll counter carrying over from the build phase.
+    if filter.truncated() || deadline.check_now() {
+        stats.timed_out = true;
+        stats.elapsed = start.elapsed();
+        stats.cpu_time = stats.elapsed;
+        return SearchEnd::Timeout;
+    }
+    let node_order = compute_order(problem.query, filter, order);
+    let preds = predecessors(problem.query, &node_order);
     scratch.ensure(problem.nq(), problem.nr());
-    run_dfs_task(
+    let end = run_dfs_task(
         filter,
-        order,
-        preds,
+        &node_order,
+        &preds,
         deadline,
         sink,
         stats,
         shuffle,
         0,
-        root_override,
+        None,
         scratch,
         None,
-    )
+    );
+    stats.timed_out |= end == SearchEnd::Timeout;
+    stats.elapsed = start.elapsed();
+    stats.cpu_time = stats.elapsed;
+    end
 }
 
 /// The resumable DFS core under a seeded prefix.
@@ -537,19 +461,31 @@ mod tests {
         h
     }
 
+    /// Build the filter under `deadline`, then search it.
+    fn build_and_search(
+        p: &Problem<'_>,
+        order: NodeOrder,
+        deadline: &mut Deadline,
+        sink: &mut dyn SolutionSink,
+        stats: &mut SearchStats,
+    ) -> SearchEnd {
+        let filter = FilterMatrix::build(p, deadline, stats).unwrap();
+        let mut scratch = SearchScratch::new();
+        search(p, &filter, order, deadline, sink, stats, &mut scratch)
+    }
+
     fn run(q: &Network, h: &Network, c: &str) -> (Vec<Mapping>, SearchStats, SearchEnd) {
         let p = Problem::new(q, h, c).unwrap();
         let mut sink = CollectAll::default();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let end = search(
+        let end = build_and_search(
             &p,
             NodeOrder::AscendingCandidates,
             &mut dl,
             &mut sink,
             &mut stats,
-        )
-        .unwrap();
+        );
         (sink.solutions, stats, end)
     }
 
@@ -647,7 +583,7 @@ mod tests {
         let mut sink = CollectUpTo::new(1);
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let end = search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let end = build_and_search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats);
         assert_eq!(end, SearchEnd::SinkStop);
         assert_eq!(sink.solutions.len(), 1);
     }
@@ -664,7 +600,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::new(Some(std::time::Duration::ZERO));
         dl.check_now();
-        let end = search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let end = build_and_search(&p, NodeOrder::default(), &mut dl, &mut sink, &mut stats);
         assert_eq!(end, SearchEnd::Timeout);
         assert!(stats.timed_out);
     }
@@ -773,7 +709,7 @@ mod tests {
                 let mut sink = CollectAll::default();
                 let mut stats = SearchStats::default();
                 let mut dl = Deadline::unlimited();
-                search(&p, ord, &mut dl, &mut sink, &mut stats).unwrap();
+                build_and_search(&p, ord, &mut dl, &mut sink, &mut stats);
                 stats.nodes_visited
             };
             asc_total += run_with(NodeOrder::AscendingCandidates);

@@ -6,7 +6,7 @@
 //! management, reservations and negotiation.
 
 use crate::deadline::Deadline;
-use crate::ecf;
+use crate::ecf::{self, SearchEnd};
 use crate::filter::FilterMatrix;
 use crate::hierarchy::{HierarchySpec, Refinement, SubstrateHierarchy};
 use crate::lns::{self, LnsConfig};
@@ -17,10 +17,10 @@ use crate::parallel::{self, StealPolicy};
 use crate::problem::{Problem, ProblemError};
 use crate::rwb;
 use crate::scratch::EmbedScratch;
-use crate::sink::{CollectAll, CollectUpTo};
+use crate::sink::CollectUpTo;
 use crate::stats::{BuildCharge, SearchStats};
-use netgraph::Network;
-use std::time::Duration;
+use netgraph::{Network, NodeBitSet};
+use std::time::{Duration, Instant};
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +38,17 @@ pub enum Algorithm {
     },
 }
 
+impl Algorithm {
+    /// Worker threads the filter build and the search may use: the
+    /// requested count for [`Algorithm::ParallelEcf`], 1 otherwise.
+    pub fn threads(self) -> usize {
+        match self {
+            Algorithm::ParallelEcf { threads } => threads,
+            _ => 1,
+        }
+    }
+}
+
 /// How many embeddings to look for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMode {
@@ -47,6 +58,18 @@ pub enum SearchMode {
     First,
     /// Stop after `k` feasible embeddings.
     UpTo(usize),
+}
+
+impl SearchMode {
+    /// The most embeddings this mode asks for; `None` for
+    /// [`SearchMode::All`].
+    pub fn limit(self) -> Option<usize> {
+        match self {
+            SearchMode::All => None,
+            SearchMode::First => Some(1),
+            SearchMode::UpTo(k) => Some(k),
+        }
+    }
 }
 
 /// Engine options.
@@ -76,9 +99,10 @@ pub struct Options {
     /// ([`FilterMatrix::build_restricted`]). Solution sets are identical
     /// to the flat run; on large substrates only a fraction of the
     /// `O(|VQ|·|VR|)` matrix is expanded. LNS ignores the knob (it
-    /// keeps no filter state to restrict). Engine-level runs rebuild
-    /// the hierarchy per call; the service layer caches it per
-    /// `(host, epoch)` and routes through [`Engine::run_hier`].
+    /// keeps no filter state to restrict). Engine-level runs coarsen
+    /// per call, inside the run's deadline clock and `elapsed`; the
+    /// service layer caches the hierarchy per `(host, epoch)` and hands
+    /// it to [`Engine::run_prebuilt`].
     pub hierarchy: Option<HierarchySpec>,
 }
 
@@ -109,8 +133,38 @@ pub struct EmbedResult {
 }
 
 /// An embedding engine bound to one hosting network.
+///
+/// Entry points differ only in what the caller already holds:
+/// [`Engine::embed`] takes constraint source text, [`Engine::run`] and
+/// [`Engine::run_with_scratch`] take a compiled [`Problem`] and build
+/// its filter, and [`Engine::run_prebuilt`] searches over a filter or
+/// hierarchy the caller built. All four share one run core.
 pub struct Engine<'a> {
     host: &'a Network,
+}
+
+/// What a caller already holds for [`Engine::run_prebuilt`]: a filter
+/// built for the run's problem, or a coarsening of its host.
+#[derive(Clone, Copy)]
+pub enum Prebuilt<'f> {
+    /// A filter built with [`FilterMatrix::build`] (or one of its
+    /// siblings) for the *same* problem.
+    Filter(&'f FilterMatrix),
+    /// A hierarchy built with [`SubstrateHierarchy::build`] for the
+    /// problem's host.
+    Hierarchy(&'f SubstrateHierarchy),
+}
+
+impl<'f> From<&'f FilterMatrix> for Prebuilt<'f> {
+    fn from(filter: &'f FilterMatrix) -> Self {
+        Prebuilt::Filter(filter)
+    }
+}
+
+impl<'f> From<&'f SubstrateHierarchy> for Prebuilt<'f> {
+    fn from(hier: &'f SubstrateHierarchy) -> Self {
+        Prebuilt::Hierarchy(hier)
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -135,359 +189,237 @@ impl<'a> Engine<'a> {
         Self::run(&problem, options)
     }
 
-    /// [`Engine::embed`] with a caller-held [`EmbedScratch`]: repeated
-    /// embeds reuse the DFS arenas instead of re-allocating them.
-    pub fn embed_with_scratch(
-        &self,
-        query: &Network,
-        constraint: &str,
-        options: &Options,
-        scratch: &mut EmbedScratch,
-    ) -> Result<EmbedResult, ProblemError> {
-        let problem = Problem::new(query, self.host, constraint)?;
-        Self::run_with_scratch(&problem, options, scratch)
-    }
-
     /// Embed a pre-built problem (lets callers supply separate edge and
     /// node expressions via [`Problem::with_exprs`]).
     pub fn run(problem: &Problem<'_>, options: &Options) -> Result<EmbedResult, ProblemError> {
         Self::run_with_scratch(problem, options, &mut EmbedScratch::new())
     }
 
-    /// [`Engine::run`] with a caller-held [`EmbedScratch`]. The filter
-    /// build runs under this call (parallelized for
-    /// [`Algorithm::ParallelEcf`]); batch callers that also want to
-    /// amortize the *filter* across runs use [`Engine::run_prebuilt`].
+    /// [`Engine::run`] with a caller-held [`EmbedScratch`]: repeated
+    /// runs reuse the DFS arenas and the worker pool. The filter build
+    /// (and, with [`Options::hierarchy`], the coarsening) runs under this
+    /// call; batch callers that also want to amortize those across runs
+    /// use [`Engine::run_prebuilt`].
     pub fn run_with_scratch(
         problem: &Problem<'_>,
         options: &Options,
         scratch: &mut EmbedScratch,
     ) -> Result<EmbedResult, ProblemError> {
-        let mut deadline = Deadline::new(options.timeout);
-        let mut stats = SearchStats::default();
-        let start = std::time::Instant::now();
-
-        let (mappings, end) = match options.algorithm {
-            Algorithm::Lns => {
-                Self::dispatch_lns(problem, options, &mut deadline, &mut stats, scratch)?
-            }
-            _ if options.hierarchy.is_some() => {
-                // Hierarchical path: coarsen, refine, then build the
-                // exact filter only inside the surviving subtrees. The
-                // construction happens under this run's deadline clock,
-                // so a budgeted caller pays for it; the service layer
-                // amortizes it through its `HierarchyCache`.
-                let spec = options.hierarchy.expect("guard checked");
-                let hier = SubstrateHierarchy::build(problem.host, &spec);
-                Self::dispatch_hier(problem, &hier, options, &mut deadline, &mut stats, scratch)?
-            }
-            Algorithm::Ecf | Algorithm::Rwb => {
-                let filter = FilterMatrix::build(problem, &mut deadline, &mut stats)?;
-                Self::dispatch_prebuilt(
-                    problem,
-                    &filter,
-                    options,
-                    &mut deadline,
-                    &mut stats,
-                    scratch,
-                )
-            }
-            Algorithm::ParallelEcf { threads } => {
-                // Build-charging contract (see `stats::BuildCharge`):
-                // threads the build fan-out spawns are new, not warm.
-                let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
-                let filter = FilterMatrix::build_par_pooled(
-                    problem,
-                    threads,
-                    &mut deadline,
-                    &mut stats,
-                    scratch.parallel.pool_mut(),
-                )?;
-                charge.finish_build(scratch.parallel.pool().spawned_total());
-                let out = Self::dispatch_prebuilt(
-                    problem,
-                    &filter,
-                    options,
-                    &mut deadline,
-                    &mut stats,
-                    scratch,
-                );
-                charge.settle_pool_reuse(&mut stats);
-                out
-            }
-        };
-        Ok(Self::finalize(
-            mappings,
-            end,
-            stats,
-            start,
-            options.algorithm,
-        ))
+        Self::execute(problem, None, options, scratch)
     }
 
-    /// Run over an already constructed filter (built with
-    /// [`FilterMatrix::build`]/[`FilterMatrix::build_par`] for the *same*
-    /// problem). This is the batch primitive: one filter build plus one
-    /// scratch serve any number of runs — different modes, orders, seeds
-    /// or thread counts ([`Algorithm::Lns`] ignores the filter). The
-    /// returned stats cover only this run; build-phase counters live with
-    /// whoever built the filter, except `filter_cells`, which is
-    /// re-reported per run so result tables stay comparable.
-    pub fn run_prebuilt(
+    /// Run over what the caller already holds — the batch primitive:
+    /// one filter build (or one coarsening) plus one scratch serve any
+    /// number of runs with different modes, orders, seeds or thread
+    /// counts ([`Algorithm::Lns`] ignores it). Over a
+    /// [`Prebuilt::Filter`] the returned stats cover only this run;
+    /// build-phase counters live with whoever built the filter, except
+    /// `filter_cells`, which is re-reported per run so result tables
+    /// stay comparable. Over a [`Prebuilt::Hierarchy`] refinement, the
+    /// restricted filter build and the exact search all run under this
+    /// call's deadline, and a sound coarse-level infeasibility verdict
+    /// returns [`Outcome::Complete`] with no mappings — definitively
+    /// infeasible without touching the full filter matrix.
+    pub fn run_prebuilt<'f>(
         problem: &Problem<'_>,
-        filter: &FilterMatrix,
+        prebuilt: impl Into<Prebuilt<'f>>,
+        options: &Options,
+        scratch: &mut EmbedScratch,
+    ) -> Result<EmbedResult, ProblemError> {
+        Self::execute(problem, Some(prebuilt.into()), options, scratch)
+    }
+
+    /// The one run core: deadline, stats and clock; then the filter
+    /// stage the source calls for; then the search into one sink sized
+    /// by the mode; then finalization. `source = None` builds
+    /// everything (coarsening first when [`Options::hierarchy`] is set).
+    fn execute(
+        problem: &Problem<'_>,
+        source: Option<Prebuilt<'_>>,
         options: &Options,
         scratch: &mut EmbedScratch,
     ) -> Result<EmbedResult, ProblemError> {
         let mut deadline = Deadline::new(options.timeout);
         let mut stats = SearchStats::default();
-        let start = std::time::Instant::now();
-        let (mappings, end) = match options.algorithm {
-            Algorithm::Lns => {
-                Self::dispatch_lns(problem, options, &mut deadline, &mut stats, scratch)?
-            }
-            _ => Self::dispatch_prebuilt(
+        let start = Instant::now();
+        let mut sink = CollectUpTo::new(options.mode.limit().unwrap_or(usize::MAX));
+        let end = match (options.algorithm, source) {
+            // LNS keeps no filter state: it ignores whatever the caller
+            // holds.
+            (Algorithm::Lns, _) => lns::search(
+                problem,
+                &options.lns,
+                &mut deadline,
+                &mut sink,
+                &mut stats,
+                &mut scratch.search,
+            )?,
+            (_, Some(Prebuilt::Filter(filter))) => Self::search(
                 problem,
                 filter,
                 options,
                 &mut deadline,
+                &mut sink,
                 &mut stats,
                 scratch,
             ),
+            (_, Some(Prebuilt::Hierarchy(hier))) => Self::refine_and_search(
+                problem,
+                hier,
+                options,
+                &mut deadline,
+                &mut sink,
+                &mut stats,
+                scratch,
+            )?,
+            (_, None) => match options.hierarchy {
+                // Engine-level hierarchical runs coarsen here, under this
+                // run's clock; the service layer amortizes the coarsening
+                // through its hierarchy cache.
+                Some(spec) => Self::refine_and_search(
+                    problem,
+                    &SubstrateHierarchy::build(problem.host, &spec),
+                    options,
+                    &mut deadline,
+                    &mut sink,
+                    &mut stats,
+                    scratch,
+                )?,
+                None => Self::build_and_search(
+                    problem,
+                    None,
+                    options,
+                    &mut deadline,
+                    &mut sink,
+                    &mut stats,
+                    scratch,
+                )?,
+            },
         };
-        Ok(Self::finalize(
-            mappings,
-            end,
+        stats.elapsed = start.elapsed();
+        // Sequential runs are single-stream: their CPU time is their
+        // wall time. Parallel runs keep the build work + worker sum.
+        if !matches!(options.algorithm, Algorithm::ParallelEcf { .. }) {
+            stats.cpu_time = stats.elapsed;
+        }
+        let outcome = Outcome::classify(end, sink.solutions.clone());
+        Ok(EmbedResult {
+            mappings: sink.solutions,
+            outcome,
             stats,
-            start,
-            options.algorithm,
-        ))
+        })
     }
 
-    /// Run hierarchically over an already coarsened substrate (built
-    /// with [`SubstrateHierarchy::build`] for this problem's host) —
-    /// the batch primitive of the hierarchical path, mirroring
-    /// [`Engine::run_prebuilt`]: one coarsening serves any number of
-    /// queries against the same host snapshot. Refinement, the
-    /// restricted filter build and the exact search all run under this
-    /// call's deadline. A sound coarse-level infeasibility verdict
-    /// returns [`Outcome::Complete`] with no mappings — definitively
-    /// infeasible without touching the full filter matrix.
-    pub fn run_hier(
-        problem: &Problem<'_>,
-        hier: &SubstrateHierarchy,
-        options: &Options,
-        scratch: &mut EmbedScratch,
-    ) -> Result<EmbedResult, ProblemError> {
-        let mut deadline = Deadline::new(options.timeout);
-        let mut stats = SearchStats::default();
-        let start = std::time::Instant::now();
-        let (mappings, end) = match options.algorithm {
-            Algorithm::Lns => {
-                Self::dispatch_lns(problem, options, &mut deadline, &mut stats, scratch)?
-            }
-            _ => Self::dispatch_hier(problem, hier, options, &mut deadline, &mut stats, scratch)?,
-        };
-        Ok(Self::finalize(
-            mappings,
-            end,
-            stats,
-            start,
-            options.algorithm,
-        ))
-    }
-
-    /// Refinement + restricted filter build + exact search for the
-    /// filter-based algorithms.
-    fn dispatch_hier(
+    /// Top-down refinement, then the restricted filter build and the
+    /// exact search inside the surviving subtrees.
+    fn refine_and_search(
         problem: &Problem<'_>,
         hier: &SubstrateHierarchy,
         options: &Options,
         deadline: &mut Deadline,
+        sink: &mut CollectUpTo,
         stats: &mut SearchStats,
         scratch: &mut EmbedScratch,
-    ) -> Result<(Vec<Mapping>, ecf::SearchEnd), ProblemError> {
+    ) -> Result<SearchEnd, ProblemError> {
         match hier.refine(problem, deadline, stats) {
             Refinement::TimedOut => {
                 stats.timed_out = true;
-                Ok((Vec::new(), ecf::SearchEnd::Timeout))
+                Ok(SearchEnd::Timeout)
             }
             // The refinement's empty-domain prune is sound: no
             // concretization of a pruned super-node holds a solution,
             // so an empty result here is exhaustive, not a give-up.
-            Refinement::Infeasible => Ok((Vec::new(), ecf::SearchEnd::Exhausted)),
-            Refinement::Restricted(allowed) => match options.algorithm {
-                Algorithm::ParallelEcf { threads } => {
-                    let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
-                    let filter = FilterMatrix::build_restricted_par_pooled(
-                        problem,
-                        &allowed,
-                        threads,
-                        deadline,
-                        stats,
-                        scratch.parallel.pool_mut(),
-                    )?;
-                    charge.finish_build(scratch.parallel.pool().spawned_total());
-                    let out = Self::dispatch_prebuilt(
-                        problem, &filter, options, deadline, stats, scratch,
-                    );
-                    charge.settle_pool_reuse(stats);
-                    Ok(out)
-                }
-                _ => {
-                    let filter =
-                        FilterMatrix::build_restricted(problem, &allowed, deadline, stats)?;
-                    Ok(Self::dispatch_prebuilt(
-                        problem, &filter, options, deadline, stats, scratch,
-                    ))
-                }
-            },
+            Refinement::Infeasible => Ok(SearchEnd::Exhausted),
+            Refinement::Restricted(allowed) => Self::build_and_search(
+                problem,
+                Some(&allowed),
+                options,
+                deadline,
+                sink,
+                stats,
+                scratch,
+            ),
         }
     }
 
-    /// Shared run finalization: authoritative wall clock, the
-    /// sequential-run `cpu_time = elapsed` convention (parallel runs keep
-    /// the worker sum their merge produced), and outcome classification.
-    fn finalize(
-        mappings: Vec<Mapping>,
-        end: ecf::SearchEnd,
-        mut stats: SearchStats,
-        start: std::time::Instant,
-        algorithm: Algorithm,
-    ) -> EmbedResult {
-        stats.elapsed = start.elapsed();
-        if !matches!(algorithm, Algorithm::ParallelEcf { .. }) {
-            stats.cpu_time = stats.elapsed;
-        }
-        let outcome = Outcome::classify(end, mappings.clone());
-        EmbedResult {
-            mappings,
-            outcome,
-            stats,
-        }
+    /// The one filter-build stage: the algorithm's thread count on the
+    /// scratch's pool (inline at one thread), optionally restricted to
+    /// `allowed`, charged to the run through [`BuildCharge`] — build
+    /// evals and build work into the stats, build-phase spawns out of
+    /// `pool_reuse`.
+    fn build_and_search(
+        problem: &Problem<'_>,
+        allowed: Option<&[NodeBitSet]>,
+        options: &Options,
+        deadline: &mut Deadline,
+        sink: &mut CollectUpTo,
+        stats: &mut SearchStats,
+        scratch: &mut EmbedScratch,
+    ) -> Result<SearchEnd, ProblemError> {
+        let mut charge = BuildCharge::begin(scratch.parallel.pool().spawned_total());
+        let mut build_stats = SearchStats::default();
+        let filter = FilterMatrix::build_impl(
+            problem,
+            options.algorithm.threads(),
+            deadline,
+            &mut build_stats,
+            Some(scratch.parallel.pool_mut()),
+            allowed,
+        )?;
+        charge.finish_build(scratch.parallel.pool().spawned_total());
+        let end = Self::search(problem, &filter, options, deadline, sink, stats, scratch);
+        charge.charge_build(stats, &build_stats);
+        charge.settle_pool_reuse(stats);
+        Ok(end)
     }
 
-    /// Second-stage dispatch for the filter-based algorithms.
-    fn dispatch_prebuilt(
+    /// The search stage for the filter-based algorithms.
+    fn search(
         problem: &Problem<'_>,
         filter: &FilterMatrix,
         options: &Options,
         deadline: &mut Deadline,
+        sink: &mut CollectUpTo,
         stats: &mut SearchStats,
         scratch: &mut EmbedScratch,
-    ) -> (Vec<Mapping>, ecf::SearchEnd) {
+    ) -> SearchEnd {
         match options.algorithm {
-            Algorithm::Ecf => match options.mode {
-                SearchMode::All => {
-                    let mut sink = CollectAll::default();
-                    let end = ecf::search_prebuilt_with_scratch(
-                        problem,
-                        filter,
-                        options.order,
-                        deadline,
-                        &mut sink,
-                        stats,
-                        &mut scratch.search,
-                    );
-                    (sink.solutions, end)
-                }
-                SearchMode::First | SearchMode::UpTo(_) => {
-                    let k = match options.mode {
-                        SearchMode::UpTo(k) => k,
-                        _ => 1,
-                    };
-                    let mut sink = CollectUpTo::new(k);
-                    let end = ecf::search_prebuilt_with_scratch(
-                        problem,
-                        filter,
-                        options.order,
-                        deadline,
-                        &mut sink,
-                        stats,
-                        &mut scratch.search,
-                    );
-                    (sink.solutions, end)
-                }
-            },
-            Algorithm::Rwb => {
-                let limit = match options.mode {
-                    SearchMode::All => usize::MAX,
-                    SearchMode::First => 1,
-                    SearchMode::UpTo(k) => k,
-                };
-                let mut sink = CollectUpTo::new(limit);
-                let end = rwb::search_prebuilt(
-                    problem,
-                    filter,
-                    options.seed,
-                    options.order,
-                    deadline,
-                    &mut sink,
-                    stats,
-                    &mut scratch.search,
-                );
-                (sink.solutions, end)
-            }
+            Algorithm::Ecf => ecf::search(
+                problem,
+                filter,
+                options.order,
+                deadline,
+                sink,
+                stats,
+                &mut scratch.search,
+            ),
+            Algorithm::Rwb => rwb::search(
+                problem,
+                filter,
+                options.seed,
+                options.order,
+                deadline,
+                sink,
+                stats,
+                &mut scratch.search,
+            ),
             Algorithm::ParallelEcf { threads } => {
-                let limit = match options.mode {
-                    SearchMode::All => None,
-                    SearchMode::First => Some(1),
-                    SearchMode::UpTo(k) => Some(k),
-                };
-                parallel::search_prebuilt_with_policy(
+                let (found, end) = parallel::search(
                     problem,
                     filter,
                     threads,
-                    limit,
+                    options.mode.limit(),
                     options.order,
                     deadline,
                     stats,
                     &mut scratch.parallel,
                     options.steal,
-                )
+                );
+                sink.solutions = found;
+                end
             }
-            Algorithm::Lns => unreachable!("LNS is dispatched without a filter"),
+            Algorithm::Lns => unreachable!("LNS runs without a filter"),
         }
-    }
-
-    /// LNS dispatch (no filter stage).
-    fn dispatch_lns(
-        problem: &Problem<'_>,
-        options: &Options,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-        scratch: &mut EmbedScratch,
-    ) -> Result<(Vec<Mapping>, ecf::SearchEnd), ProblemError> {
-        Ok(match options.mode {
-            SearchMode::All => {
-                let mut sink = CollectAll::default();
-                let end = lns::search_with_scratch(
-                    problem,
-                    &options.lns,
-                    deadline,
-                    &mut sink,
-                    stats,
-                    &mut scratch.search,
-                )?;
-                (sink.solutions, end)
-            }
-            SearchMode::First | SearchMode::UpTo(_) => {
-                let k = match options.mode {
-                    SearchMode::UpTo(k) => k,
-                    _ => 1,
-                };
-                let mut sink = CollectUpTo::new(k);
-                let end = lns::search_with_scratch(
-                    problem,
-                    &options.lns,
-                    deadline,
-                    &mut sink,
-                    stats,
-                    &mut scratch.search,
-                )?;
-                (sink.solutions, end)
-            }
-        })
     }
 }
 
@@ -608,19 +540,15 @@ mod tests {
         q.add_edge(a, b);
         q.add_edge(b, c);
         q.add_edge(a, c);
-        let engine = Engine::new(&h);
+        let problem = Problem::new(&q, &h, "true").unwrap();
         let opts = Options {
             algorithm: Algorithm::ParallelEcf { threads: 4 },
             ..Options::default()
         };
         let mut scratch = EmbedScratch::new();
-        let cold = engine
-            .embed_with_scratch(&q, "true", &opts, &mut scratch)
-            .unwrap();
+        let cold = Engine::run_with_scratch(&problem, &opts, &mut scratch).unwrap();
         assert_eq!(cold.stats.pool_reuse, 0, "cold run must report no reuse");
-        let warm = engine
-            .embed_with_scratch(&q, "true", &opts, &mut scratch)
-            .unwrap();
+        let warm = Engine::run_with_scratch(&problem, &opts, &mut scratch).unwrap();
         assert!(warm.stats.pool_reuse > 0, "second run must reuse the pool");
         assert_eq!(cold.mappings.len(), warm.mappings.len());
     }
@@ -639,31 +567,27 @@ mod tests {
         let c = q.add_node("c");
         q.add_edge(a, b);
         q.add_edge(b, c);
-        let engine = Engine::new(&h);
+        let problem = Problem::new(&q, &h, "true").unwrap();
         let mut scratch = EmbedScratch::new();
-        engine
-            .embed_with_scratch(
-                &q,
-                "true",
-                &Options {
-                    algorithm: Algorithm::ParallelEcf { threads: 2 },
-                    ..Options::default()
-                },
-                &mut scratch,
-            )
-            .unwrap();
+        Engine::run_with_scratch(
+            &problem,
+            &Options {
+                algorithm: Algorithm::ParallelEcf { threads: 2 },
+                ..Options::default()
+            },
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(scratch.parallel.pool().thread_count(), 2);
-        let grown = engine
-            .embed_with_scratch(
-                &q,
-                "true",
-                &Options {
-                    algorithm: Algorithm::ParallelEcf { threads: 4 },
-                    ..Options::default()
-                },
-                &mut scratch,
-            )
-            .unwrap();
+        let grown = Engine::run_with_scratch(
+            &problem,
+            &Options {
+                algorithm: Algorithm::ParallelEcf { threads: 4 },
+                ..Options::default()
+            },
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(
             grown.stats.pool_reuse, 2,
             "the two pre-existing threads served this run"
@@ -681,6 +605,41 @@ mod tests {
             .unwrap();
         assert!(r.outcome.definitively_infeasible());
         assert!(r.mappings.is_empty());
+    }
+
+    #[test]
+    fn parallel_cpu_time_charges_the_filter_build() {
+        // An infeasible instance: the build scans every host edge, then
+        // the empty root level ends the search before any worker runs.
+        // The build work must still show in `cpu_time`, the way the
+        // service's cached-run path charges it.
+        let mut h = Network::new(Direction::Undirected);
+        let ids: Vec<NodeId> = (0..40).map(|i| h.add_node(format!("h{i}"))).collect();
+        for i in 0..40 {
+            for j in (i + 1)..40 {
+                let e = h.add_edge(ids[i], ids[j]);
+                h.set_edge_attr(e, "d", (i + j) as f64);
+            }
+        }
+        let mut q = Network::new(Direction::Undirected);
+        let qs: Vec<NodeId> = (0..3).map(|i| q.add_node(format!("q{i}"))).collect();
+        for i in 0..3 {
+            q.add_edge(qs[i], qs[(i + 1) % 3]);
+        }
+        let r = Engine::new(&h)
+            .embed(
+                &q,
+                "rEdge.d > 1e9",
+                &Options {
+                    algorithm: Algorithm::ParallelEcf { threads: 2 },
+                    ..Options::default()
+                },
+            )
+            .unwrap();
+        assert!(r.outcome.definitively_infeasible());
+        assert!(r.stats.constraint_evals > 0);
+        assert!(r.stats.cpu_time > Duration::ZERO, "build work uncharged");
+        assert!(r.stats.cpu_time <= r.stats.elapsed);
     }
 
     #[test]

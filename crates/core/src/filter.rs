@@ -48,10 +48,11 @@
 //!
 //! The evaluation scan is embarrassingly parallel over *query edges*:
 //! distinct query edges populate distinct `(vj, vi)` pair slots, so their
-//! cell rows are disjoint by construction. [`FilterMatrix::build_par`]
-//! exploits that: the pair-slot tables are fixed up front (in query-edge
-//! order, before any evaluation), the query-edge list is split into
-//! contiguous chunks — one scan worker each — and every worker streams
+//! cell rows are disjoint by construction.
+//! [`FilterMatrix::build_par_pooled`] exploits that: the pair-slot
+//! tables are fixed up front (in query-edge order, before any
+//! evaluation), the query-edge list is split into contiguous chunks —
+//! one worker of a persistent pool each — and every worker streams
 //! `(cell row, candidate)` hits into thread-local buffers. The stitch
 //! concatenates the chunk outputs in chunk order, which reproduces the
 //! sequential scan's hit stream *exactly*, and the deterministic
@@ -445,7 +446,7 @@ impl CellTable {
 /// `PartialEq` compares the raw CSR storage of both cell tables plus the
 /// base sets — equality means the two matrices are laid out
 /// bitwise-identically, the property `tests/prop_layout.rs` asserts for
-/// [`FilterMatrix::build`] vs [`FilterMatrix::build_par`].
+/// [`FilterMatrix::build`] vs [`FilterMatrix::build_par_pooled`].
 #[derive(Clone, PartialEq)]
 pub struct FilterMatrix {
     /// `fwd[(vj, rj, vi)]`: candidates for `vi` via query edge `vj → vi`
@@ -638,50 +639,15 @@ impl FilterMatrix {
         Self::build_impl(problem, 1, deadline, stats, None, Some(allowed))
     }
 
-    /// [`FilterMatrix::build_restricted`] with the scan fanned out over
-    /// a caller-held persistent [`WorkerPool`](crate::pool::WorkerPool),
-    /// mirroring [`FilterMatrix::build_par_pooled`].
-    pub fn build_restricted_par_pooled(
-        problem: &Problem<'_>,
-        allowed: &[NodeBitSet],
-        threads: usize,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-        pool: &mut crate::pool::WorkerPool,
-    ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(
-            problem,
-            threads.max(1),
-            deadline,
-            stats,
-            Some(pool),
-            Some(allowed),
-        )
-    }
-
-    /// [`FilterMatrix::build`] with the evaluation scan parallelized over
-    /// `threads` scoped worker threads (contiguous query-edge chunks, one
-    /// worker each). Produces a matrix bitwise-identical to the
+    /// [`FilterMatrix::build`] with the evaluation scan fanned out over
+    /// `threads` workers of a caller-held persistent
+    /// [`WorkerPool`](crate::pool::WorkerPool) (contiguous query-edge
+    /// chunks, one worker each; warm threads are reused, so long-lived
+    /// callers pay no spawn). Produces a matrix bitwise-identical to the
     /// sequential build — same CSR layout, same eval counters, same base
     /// sets — because the chunk outputs are stitched in chunk order and
     /// the counting-sort pass is deterministic. `threads <= 1`, or a
-    /// query with a single edge, falls back to the sequential scan.
-    pub fn build_par(
-        problem: &Problem<'_>,
-        threads: usize,
-        deadline: &mut Deadline,
-        stats: &mut SearchStats,
-    ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(problem, threads.max(1), deadline, stats, None, None)
-    }
-
-    /// [`FilterMatrix::build_par`], but the chunk scan runs on a
-    /// caller-held persistent [`WorkerPool`](crate::pool::WorkerPool)
-    /// instead of a fresh thread scope — the spawn-free path for
-    /// long-lived callers (the engine routes
-    /// [`Algorithm::ParallelEcf`](crate::Algorithm) builds here through
-    /// the [`ParallelScratch`](crate::ParallelScratch) pool). Output is
-    /// bitwise-identical to the sequential and scoped builds.
+    /// query with a single edge, runs the sequential scan inline.
     pub fn build_par_pooled(
         problem: &Problem<'_>,
         threads: usize,
@@ -689,10 +655,14 @@ impl FilterMatrix {
         stats: &mut SearchStats,
         pool: &mut crate::pool::WorkerPool,
     ) -> Result<FilterMatrix, ProblemError> {
-        Self::build_impl(problem, threads.max(1), deadline, stats, Some(pool), None)
+        Self::build_impl(problem, threads, deadline, stats, Some(pool), None)
     }
 
-    fn build_impl(
+    /// The one filter build behind the three public builds and the
+    /// engine's build stage: `threads` chunks on `pool` (the scan runs
+    /// inline when there is no pool or only one chunk), optionally
+    /// scoped to `allowed` host sets.
+    pub(crate) fn build_impl(
         problem: &Problem<'_>,
         threads: usize,
         deadline: &mut Deadline,
@@ -737,56 +707,41 @@ impl FilterMatrix {
         }
 
         // The evaluation scan: one chunk inline, or `workers` contiguous
-        // chunks fanned out over scoped threads. Each worker polls its own
-        // clone of the deadline (shared cancel flag, shared clock).
+        // chunks fanned out over the persistent pool — same deterministic
+        // stitch order, but the threads were (usually) already parked
+        // waiting, so the warm path has no spawn/join. Each worker polls
+        // its own clone of the deadline (shared cancel flag, shared clock).
         let qedges: Vec<EdgeRef> = problem.query.edge_refs().collect();
         let workers = threads.min(qedges.len()).max(1);
-        let outs: Vec<Result<ScanOut, ProblemError>> = if workers <= 1 {
-            vec![scan_query_edges(
-                problem, &qedges, &node_pass, &fwd_slots, &rev_slots, deadline,
-            )]
-        } else if let Some(pool) = pool {
-            // Persistent-pool fan-out: same chunks, same deterministic
-            // stitch order, but the threads were (usually) already
-            // parked waiting — no spawn/join on the warm path.
-            let chunk = qedges.len().div_ceil(workers);
-            let chunks: Vec<&[EdgeRef]> = qedges.chunks(chunk).collect();
-            let mut slots: Vec<Option<Result<ScanOut, ProblemError>>> =
-                (0..chunks.len()).map(|_| None).collect();
-            {
-                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(chunks.len());
-                for (ch, slot) in chunks.into_iter().zip(slots.iter_mut()) {
-                    let mut dl = deadline.clone();
-                    let (node_pass, fwd_slots, rev_slots) = (&node_pass, &fwd_slots, &rev_slots);
-                    jobs.push(Box::new(move || {
-                        *slot = Some(scan_query_edges(
-                            problem, ch, node_pass, fwd_slots, rev_slots, &mut dl,
-                        ));
-                    }));
+        let outs: Vec<Result<ScanOut, ProblemError>> = match pool {
+            Some(pool) if workers > 1 => {
+                let chunk = qedges.len().div_ceil(workers);
+                let chunks: Vec<&[EdgeRef]> = qedges.chunks(chunk).collect();
+                let mut slots: Vec<Option<Result<ScanOut, ProblemError>>> =
+                    (0..chunks.len()).map(|_| None).collect();
+                {
+                    let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
+                        Vec::with_capacity(chunks.len());
+                    for (ch, slot) in chunks.into_iter().zip(slots.iter_mut()) {
+                        let mut dl = deadline.clone();
+                        let (node_pass, fwd_slots, rev_slots) =
+                            (&node_pass, &fwd_slots, &rev_slots);
+                        jobs.push(Box::new(move || {
+                            *slot = Some(scan_query_edges(
+                                problem, ch, node_pass, fwd_slots, rev_slots, &mut dl,
+                            ));
+                        }));
+                    }
+                    pool.run_scoped(jobs);
                 }
-                pool.run_scoped(jobs);
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("pool scan job completed"))
-                .collect()
-        } else {
-            let chunk = qedges.len().div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for ch in qedges.chunks(chunk) {
-                    let mut dl = deadline.clone();
-                    let (node_pass, fwd_slots, rev_slots) = (&node_pass, &fwd_slots, &rev_slots);
-                    handles.push(scope.spawn(move |_| {
-                        scan_query_edges(problem, ch, node_pass, fwd_slots, rev_slots, &mut dl)
-                    }));
-                }
-                handles
+                slots
                     .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
+                    .map(|s| s.expect("pool scan job completed"))
                     .collect()
-            })
-            .expect("scope failure")
+            }
+            _ => vec![scan_query_edges(
+                problem, &qedges, &node_pass, &fwd_slots, &rev_slots, deadline,
+            )],
         };
 
         // Deterministic stitch: chunk outputs in chunk order reproduce
@@ -1342,6 +1297,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::WorkerPool;
     use netgraph::{Direction, Network};
 
     /// Host: path u - v - w with delays 5, 50; query: single edge.
@@ -1552,10 +1508,12 @@ mod tests {
         let mut d = Deadline::unlimited();
         let mut s_seq = SearchStats::default();
         let seq = FilterMatrix::build(&p, &mut d, &mut s_seq).unwrap();
+        let mut pool = WorkerPool::new();
         for threads in [2, 3, 4, 16] {
             let mut d = Deadline::unlimited();
             let mut s_par = SearchStats::default();
-            let par = FilterMatrix::build_par(&p, threads, &mut d, &mut s_par).unwrap();
+            let par =
+                FilterMatrix::build_par_pooled(&p, threads, &mut d, &mut s_par, &mut pool).unwrap();
             assert!(seq == par, "layout diverges at {threads} threads");
             assert_eq!(s_seq.constraint_evals, s_par.constraint_evals);
             assert_eq!(s_seq.filter_cells, s_par.filter_cells);
@@ -1570,7 +1528,8 @@ mod tests {
         let mut d = Deadline::unlimited();
         let (mut s1, mut s2) = (SearchStats::default(), SearchStats::default());
         let seq = FilterMatrix::build(&p, &mut d, &mut s1).unwrap();
-        let par = FilterMatrix::build_par(&p, 8, &mut d, &mut s2).unwrap();
+        let par =
+            FilterMatrix::build_par_pooled(&p, 8, &mut d, &mut s2, &mut WorkerPool::new()).unwrap();
         assert!(seq == par);
         assert_eq!(s1.constraint_evals, s2.constraint_evals);
     }
@@ -1595,7 +1554,8 @@ mod tests {
         let mut d = Deadline::unlimited();
         let (mut s1, mut s2) = (SearchStats::default(), SearchStats::default());
         let seq = FilterMatrix::build(&p, &mut d, &mut s1).unwrap();
-        let par = FilterMatrix::build_par(&p, 3, &mut d, &mut s2).unwrap();
+        let par =
+            FilterMatrix::build_par_pooled(&p, 3, &mut d, &mut s2, &mut WorkerPool::new()).unwrap();
         assert!(seq == par);
         assert_eq!(s1.constraint_evals, s2.constraint_evals);
     }
@@ -1619,7 +1579,7 @@ mod tests {
         let mut d = Deadline::unlimited();
         let mut s = SearchStats::default();
         assert!(matches!(
-            FilterMatrix::build_par(&p, 3, &mut d, &mut s),
+            FilterMatrix::build_par_pooled(&p, 3, &mut d, &mut s, &mut WorkerPool::new()),
             Err(ProblemError::Eval(_))
         ));
     }
@@ -1630,7 +1590,8 @@ mod tests {
         let p = Problem::new(&q, &h, "rEdge.d < 10.0").unwrap();
         let mut d = Deadline::new(Some(std::time::Duration::ZERO));
         let mut s = SearchStats::default();
-        let f = FilterMatrix::build_par(&p, 4, &mut d, &mut s).unwrap();
+        let f =
+            FilterMatrix::build_par_pooled(&p, 4, &mut d, &mut s, &mut WorkerPool::new()).unwrap();
         assert!(f.truncated());
         assert_eq!(f.cell_count(), 0);
         assert_eq!(s.constraint_evals, 0, "no evaluation before the check");

@@ -19,7 +19,7 @@
 //!   with no hashing, and dense cells carry bitset mirrors that the DFS
 //!   intersects word-by-word into per-depth reusable scratch masks
 //!   (zero allocation on the hot path). Construction itself parallelizes
-//!   over query edges ([`FilterMatrix::build_par`]) with a
+//!   over query edges ([`FilterMatrix::build_par_pooled`]) with a
 //!   bitwise-identical result. See [`filter`] for the layout and
 //!   `benches/abl_filter_layout.rs` for the hashmap-vs-CSR ablation.
 //! * [`rwb`] — **Random Walk with Backtracking**: the same filters, but
@@ -36,20 +36,30 @@
 //!
 //! ## Batching and scratch reuse
 //!
+//! There is one way to build a filter and one search per algorithm.
+//! [`FilterMatrix::build`] is the filter build; its two siblings only
+//! add what the caller has: [`FilterMatrix::build_restricted`] scopes it
+//! to the hierarchy's surviving host sets, and
+//! [`FilterMatrix::build_par_pooled`] fans the scan out over a
+//! persistent [`pool::WorkerPool`]. Each algorithm then has exactly one
+//! search over a built filter — [`ecf::search`], [`rwb::search`],
+//! [`parallel::search`] — plus [`lns::search`], which needs no filter.
 //! Every search's mutable state (per-depth DFS frames, assignment array,
 //! used-node mask, LNS buffers) lives in a caller-held
-//! [`scratch::SearchScratch`], so services embedding thousands of queries
-//! allocate the arenas once. Each algorithm exposes `*_with_scratch`
-//! variants plus `*_prebuilt` entry points that additionally reuse one
-//! [`FilterMatrix`] across runs; [`Engine::run_prebuilt`] combines both,
-//! and the `service` crate's `submit_batch` is the end-to-end batch path.
-//! For the parallel search, [`scratch::ParallelScratch`] keeps one
-//! scratch per worker plus a persistent [`pool::WorkerPool`]: the worker
-//! threads park between calls instead of being re-spawned per search, so
-//! a warm caller's parallel runs (and pooled filter builds,
-//! [`FilterMatrix::build_par_pooled`]) are spawn-free —
-//! [`SearchStats::pool_reuse`] reports how many warm threads a run
-//! found.
+//! [`scratch::SearchScratch`], so services embedding thousands of
+//! queries allocate the arenas once; [`scratch::ParallelScratch`] keeps
+//! one such scratch per worker plus the worker pool, whose threads park
+//! between calls, so a warm caller's parallel runs and pooled builds are
+//! spawn-free ([`SearchStats::pool_reuse`] reports how many warm threads
+//! a run found).
+//!
+//! [`Engine`] composes the two stages behind one run core:
+//! [`Engine::run`] / [`Engine::run_with_scratch`] build (coarsening first
+//! when [`Options::hierarchy`] is set) and search, and
+//! [`Engine::run_prebuilt`] searches over a filter or hierarchy the
+//! caller already holds — one build serving any number of runs. The
+//! `service` crate's cached and batched paths are built on
+//! `run_prebuilt`.
 //!
 //! ## Quick start
 //!
@@ -104,7 +114,7 @@ pub mod stats;
 pub mod verify;
 
 pub use deadline::Deadline;
-pub use engine::{Algorithm, EmbedResult, Engine, Options, SearchMode};
+pub use engine::{Algorithm, EmbedResult, Engine, Options, Prebuilt, SearchMode};
 pub use filter::{FilterMatrix, PatchOutcome};
 pub use hierarchy::{HierarchySpec, Refinement, SubstrateHierarchy};
 pub use mapping::Mapping;

@@ -61,9 +61,9 @@
 //! old root partition. `stats.tasks_spawned`/`tasks_stolen` expose how
 //! much re-splitting actually happened.
 //!
-//! The filter build is parallelized too ([`FilterMatrix::build_par`] —
-//! disjoint cell rows per query edge), so both stages use the thread
-//! budget.
+//! The filter build is parallelized too
+//! ([`FilterMatrix::build_par_pooled`] — disjoint cell rows per query
+//! edge, on the same pool), so both stages use the thread budget.
 //!
 //! ## Deadline and stats discipline
 //!
@@ -86,7 +86,7 @@ use crate::ecf::{
 use crate::filter::FilterMatrix;
 use crate::mapping::Mapping;
 use crate::order::{compute_order, predecessors, NodeOrder};
-use crate::problem::{Problem, ProblemError};
+use crate::problem::Problem;
 use crate::scratch::ParallelScratch;
 use crate::sink::{SinkControl, SolutionSink};
 use crate::stats::SearchStats;
@@ -222,94 +222,18 @@ impl TaskSplitter for WorkerSplitter<'_> {
     }
 }
 
-/// Parallel all-matches / up-to-k search.
+/// Parallel all-matches / up-to-k search over an already constructed
+/// filter — the full work-stealing scheduler entry point.
 ///
 /// `limit = None` enumerates everything; `Some(k)` stops all workers as
 /// soon as `k` solutions have been found globally (the merged result is
 /// truncated to `k`; *which* k solutions are returned depends on thread
 /// scheduling, exactly like the paper's timeout-based partial results).
+/// Filter reuse across calls composes with scratch reuse: repeated
+/// parallel searches allocate nothing beyond their result vectors and
+/// the (rare) published tasks.
+#[allow(clippy::too_many_arguments)]
 pub fn search(
-    problem: &Problem<'_>,
-    threads: usize,
-    limit: Option<usize>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-) -> Result<(Vec<Mapping>, SearchEnd), ProblemError> {
-    search_with_scratch(
-        problem,
-        threads,
-        limit,
-        order,
-        deadline,
-        stats,
-        &mut ParallelScratch::new(),
-    )
-}
-
-/// [`search`] with caller-held per-worker scratches: a long-lived caller
-/// (the service batch path) pays each worker's DFS-arena setup once.
-#[allow(clippy::too_many_arguments)]
-pub fn search_with_scratch(
-    problem: &Problem<'_>,
-    threads: usize,
-    limit: Option<usize>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-    scratch: &mut ParallelScratch,
-) -> Result<(Vec<Mapping>, SearchEnd), ProblemError> {
-    assert!(threads >= 1, "need at least one thread");
-    let start = std::time::Instant::now();
-    // Build-charging contract (see [`crate::BuildCharge`]): `pool_reuse`
-    // must only credit threads that predate this *run*, so exactly the
-    // build-phase spawns are deducted once the search has counted its
-    // warm threads.
-    let mut charge = crate::BuildCharge::begin(scratch.pool().spawned_total());
-    let filter =
-        FilterMatrix::build_par_pooled(problem, threads, deadline, stats, scratch.pool_mut())?;
-    charge.finish_build(scratch.pool().spawned_total());
-    let (merged, end) = search_prebuilt(
-        problem, &filter, threads, limit, order, deadline, stats, scratch,
-    );
-    charge.settle_pool_reuse(stats);
-    // Authoritative wall clock for the whole run (build + search).
-    stats.elapsed = start.elapsed();
-    Ok((merged, end))
-}
-
-/// The parallel second stage over an already constructed filter, under
-/// the default [`StealPolicy`]. Filter reuse across calls composes with
-/// scratch reuse: repeated parallel searches allocate nothing beyond
-/// their result vectors and the (rare) published tasks.
-#[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt(
-    problem: &Problem<'_>,
-    filter: &FilterMatrix,
-    threads: usize,
-    limit: Option<usize>,
-    order: NodeOrder,
-    deadline: &mut Deadline,
-    stats: &mut SearchStats,
-    scratch: &mut ParallelScratch,
-) -> (Vec<Mapping>, SearchEnd) {
-    search_prebuilt_with_policy(
-        problem,
-        filter,
-        threads,
-        limit,
-        order,
-        deadline,
-        stats,
-        scratch,
-        StealPolicy::default(),
-    )
-}
-
-/// [`search_prebuilt`] with an explicit split policy — the full
-/// work-stealing scheduler entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn search_prebuilt_with_policy(
     problem: &Problem<'_>,
     filter: &FilterMatrix,
     threads: usize,
@@ -698,8 +622,44 @@ mod tests {
         let mut sink = CollectAll::default();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        ecf::search(p, NodeOrder::default(), &mut dl, &mut sink, &mut stats).unwrap();
+        let filter = FilterMatrix::build(p, &mut dl, &mut stats).unwrap();
+        let mut scratch = crate::scratch::SearchScratch::new();
+        ecf::search(
+            p,
+            &filter,
+            NodeOrder::default(),
+            &mut dl,
+            &mut sink,
+            &mut stats,
+            &mut scratch,
+        );
         (sink.solutions, stats)
+    }
+
+    /// Build the filter on the scratch's pool, then search it under the
+    /// default split policy.
+    fn build_and_search(
+        p: &Problem<'_>,
+        threads: usize,
+        limit: Option<usize>,
+        order: NodeOrder,
+        deadline: &mut Deadline,
+        stats: &mut SearchStats,
+        scratch: &mut ParallelScratch,
+    ) -> Result<(Vec<Mapping>, SearchEnd), crate::problem::ProblemError> {
+        let filter =
+            FilterMatrix::build_par_pooled(p, threads, deadline, stats, scratch.pool_mut())?;
+        Ok(search(
+            p,
+            &filter,
+            threads,
+            limit,
+            order,
+            deadline,
+            stats,
+            scratch,
+            StealPolicy::default(),
+        ))
     }
 
     fn sorted(mut v: Vec<Mapping>) -> Vec<Mapping> {
@@ -719,8 +679,16 @@ mod tests {
         // Parallel.
         let mut par_stats = SearchStats::default();
         let mut dl2 = Deadline::unlimited();
-        let (par, end) =
-            search(&p, 4, None, NodeOrder::default(), &mut dl2, &mut par_stats).unwrap();
+        let (par, end) = build_and_search(
+            &p,
+            4,
+            None,
+            NodeOrder::default(),
+            &mut dl2,
+            &mut par_stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::Exhausted);
 
         let par = sorted(par);
@@ -750,7 +718,7 @@ mod tests {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
             let mut scratch = ParallelScratch::new();
-            let (sols, end) = search_prebuilt_with_policy(
+            let (sols, end) = search(
                 &p,
                 &filter,
                 threads,
@@ -793,7 +761,7 @@ mod tests {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
             let mut scratch = ParallelScratch::new();
-            let (sols, end) = search_prebuilt_with_policy(
+            let (sols, end) = search(
                 &p,
                 &filter,
                 4,
@@ -833,7 +801,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
         let mut scratch = ParallelScratch::new();
-        let (sols, end) = search_prebuilt_with_policy(
+        let (sols, end) = search(
             &p,
             &filter,
             3,
@@ -857,7 +825,16 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 1, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            1,
+            None,
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::Exhausted);
         // K6 hosts all 6·5·4 = 120 oriented triangles... as a ring of 3 the
         // count equals the number of ordered 3-subsets = 120.
@@ -873,8 +850,16 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) =
-            search(&p, 4, Some(5), NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            Some(5),
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::SinkStop);
         assert_eq!(sols.len(), 5);
         for m in &sols {
@@ -893,8 +878,16 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) =
-            search(&p, 4, Some(3), NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            Some(3),
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::SinkStop);
         assert_eq!(sols.len(), 3);
         assert!(
@@ -913,7 +906,16 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (_, end) = search(&p, 4, Some(2), NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (_, end) = build_and_search(
+            &p,
+            4,
+            Some(2),
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert_eq!(end, SearchEnd::SinkStop);
         assert!(!dl.was_expired());
         assert!(
@@ -934,7 +936,16 @@ mod tests {
         let outer = std::time::Instant::now();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            None,
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         let wall = outer.elapsed();
         assert_eq!(end, SearchEnd::Exhausted);
         assert!(!sols.is_empty());
@@ -950,17 +961,7 @@ mod tests {
         // sequential run (a merge that summed worker durations would
         // multiply it by the worker count; allow generous slack for
         // thread spawn overhead on loaded machines).
-        let mut seq_sink = CollectAll::default();
-        let mut seq_stats = SearchStats::default();
-        let mut seq_dl = Deadline::unlimited();
-        ecf::search(
-            &p,
-            NodeOrder::default(),
-            &mut seq_dl,
-            &mut seq_sink,
-            &mut seq_stats,
-        )
-        .unwrap();
+        let (_, seq_stats) = run_seq(&p);
         let bound = seq_stats.elapsed * 8 + std::time::Duration::from_millis(250);
         assert!(
             stats.elapsed <= bound,
@@ -985,7 +986,16 @@ mod tests {
         };
         let mut dl = Deadline::new(Some(std::time::Duration::ZERO));
         dl.check_now();
-        let (sols, end) = search(&p, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            None,
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert!(sols.is_empty());
         assert_eq!(end, SearchEnd::Timeout);
         assert!(stats.timed_out);
@@ -1007,7 +1017,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
         let mut scratch = ParallelScratch::new();
-        let (sols, end) = search_prebuilt(
+        let (sols, end) = search(
             &p,
             &filter,
             4,
@@ -1016,6 +1026,7 @@ mod tests {
             &mut dl,
             &mut stats,
             &mut scratch,
+            StealPolicy::default(),
         );
         assert!(sols.is_empty());
         assert_eq!(end, SearchEnd::Timeout);
@@ -1032,7 +1043,7 @@ mod tests {
         let run = |scratch: &mut ParallelScratch| {
             let mut stats = SearchStats::default();
             let mut dl = Deadline::unlimited();
-            let (sols, end) = search_with_scratch(
+            let (sols, end) = build_and_search(
                 &p,
                 3,
                 None,
@@ -1065,7 +1076,7 @@ mod tests {
         // Cold run: the pool is empty, every worker thread is new.
         let mut cold = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (first, end) = search_prebuilt(
+        let (first, end) = search(
             &p,
             &filter,
             4,
@@ -1074,6 +1085,7 @@ mod tests {
             &mut dl,
             &mut cold,
             &mut scratch,
+            StealPolicy::default(),
         );
         assert_eq!(end, SearchEnd::Exhausted);
         assert_eq!(cold.pool_reuse, 0, "cold pool has nothing to reuse");
@@ -1084,7 +1096,7 @@ mod tests {
         for round in 0..3 {
             let mut warm = SearchStats::default();
             let mut dl = Deadline::unlimited();
-            let (again, end) = search_prebuilt(
+            let (again, end) = search(
                 &p,
                 &filter,
                 4,
@@ -1093,6 +1105,7 @@ mod tests {
                 &mut dl,
                 &mut warm,
                 &mut scratch,
+                StealPolicy::default(),
             );
             assert_eq!(end, SearchEnd::Exhausted, "round {round}");
             assert_eq!(sorted(again), sorted(first.clone()), "round {round}");
@@ -1106,18 +1119,21 @@ mod tests {
     }
 
     #[test]
-    fn pooled_build_matches_scoped_build() {
+    fn pooled_build_matches_sequential_build() {
         let h = grid_host(8);
         let q = ring_query(4);
         let p = Problem::new(&q, &h, "rEdge.d <= 30.0").unwrap();
         let mut dl = Deadline::unlimited();
         let mut s1 = SearchStats::default();
-        let scoped = FilterMatrix::build_par(&p, 4, &mut dl, &mut s1).unwrap();
+        let sequential = FilterMatrix::build(&p, &mut dl, &mut s1).unwrap();
         let mut pool = crate::pool::WorkerPool::new();
         let mut dl = Deadline::unlimited();
         let mut s2 = SearchStats::default();
         let pooled = FilterMatrix::build_par_pooled(&p, 4, &mut dl, &mut s2, &mut pool).unwrap();
-        assert!(scoped == pooled, "pooled build must be bitwise-identical");
+        assert!(
+            sequential == pooled,
+            "pooled build must be bitwise-identical"
+        );
         assert_eq!(s1.constraint_evals, s2.constraint_evals);
         // And a second pooled build reuses the same threads.
         let before = pool.spawned_total();
@@ -1135,7 +1151,16 @@ mod tests {
         let p = Problem::new(&q, &h, "rEdge.d > 1e9").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, end) = search(&p, 4, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, end) = build_and_search(
+            &p,
+            4,
+            None,
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert!(sols.is_empty());
         assert_eq!(end, SearchEnd::Exhausted);
     }
@@ -1150,7 +1175,16 @@ mod tests {
         let p = Problem::new(&q, &h, "true").unwrap();
         let mut stats = SearchStats::default();
         let mut dl = Deadline::unlimited();
-        let (sols, _) = search(&p, 64, None, NodeOrder::default(), &mut dl, &mut stats).unwrap();
+        let (sols, _) = build_and_search(
+            &p,
+            64,
+            None,
+            NodeOrder::default(),
+            &mut dl,
+            &mut stats,
+            &mut ParallelScratch::new(),
+        )
+        .unwrap();
         assert_eq!(sols.len(), 4 * 3 * 2);
     }
 }

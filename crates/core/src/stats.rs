@@ -106,10 +106,12 @@ pub struct SearchStats {
     /// never by accumulating per-worker durations (those go to
     /// [`SearchStats::cpu_time`]).
     pub elapsed: Duration,
-    /// Aggregate time spent inside search workers. For a sequential run
-    /// this equals [`SearchStats::elapsed`]; for a parallel run it is the
-    /// *sum* of the workers' individual search durations and can exceed
-    /// `elapsed` by up to the worker count.
+    /// Aggregate work time: build work + search-worker time. For a
+    /// sequential run this equals [`SearchStats::elapsed`]; for a
+    /// parallel run it is the filter build's work time (when the run
+    /// built its filter) plus the *sum* of the workers' individual
+    /// search durations, and can exceed `elapsed` by up to the worker
+    /// count.
     pub cpu_time: Duration,
     /// True when the deadline expired before the search space was
     /// exhausted.
@@ -154,10 +156,10 @@ impl SearchStats {
 }
 
 /// The shared accounting contract for runs that perform a filter build
-/// as a separate phase before their search — the idiom that used to be
-/// copy-pasted across `Engine::run_with_scratch`'s parallel branch,
-/// `parallel::search_with_scratch` and the service's cached-run path,
-/// now stated once:
+/// as a separate phase before their search — the engine's build stage
+/// ([`Engine::run_with_scratch`](crate::Engine::run_with_scratch) and
+/// hierarchical [`Engine::run_prebuilt`](crate::Engine::run_prebuilt))
+/// and the service's cached-run path both follow it:
 ///
 /// 1. snapshot the worker pool's lifetime spawn count **before** the
 ///    build ([`BuildCharge::begin`]);

@@ -4,7 +4,7 @@
 //! DFS over the CSR filter must enumerate exactly the solution set of the
 //! reference search — the two layouts are interchangeable up to speed.
 //!
-//! The parallel build (`FilterMatrix::build_par`) is additionally proven
+//! The parallel build (`FilterMatrix::build_par_pooled`) is additionally proven
 //! *bitwise-identical* to the sequential build on random problems and
 //! thread counts: `FilterMatrix`'s `PartialEq` compares the raw CSR
 //! storage (pair slots, offset rows, candidate arena, bitset mirrors,
@@ -22,7 +22,7 @@ use netembed::filter::reference::{self, HashFilterMatrix};
 use netembed::order::{compute_order, predecessors};
 use netembed::{
     parallel, CollectAll, Deadline, FilterMatrix, Mapping, NodeOrder, ParallelScratch, Problem,
-    SearchStats, StealPolicy,
+    SearchScratch, SearchStats, StealPolicy, WorkerPool,
 };
 use netgraph::{Direction, Network, NodeId};
 use proptest::prelude::*;
@@ -149,10 +149,13 @@ fn check_case(
     // The parallel build must reproduce the sequential CSR layout
     // *bitwise* (PartialEq compares the raw arena storage), along with
     // the eval accounting, at every thread count.
+    let mut pool = WorkerPool::new();
     for threads in [2usize, 3, 4] {
         let mut dl_par = Deadline::unlimited();
         let mut s_par = SearchStats::default();
-        let par = FilterMatrix::build_par(&problem, threads, &mut dl_par, &mut s_par).unwrap();
+        let par =
+            FilterMatrix::build_par_pooled(&problem, threads, &mut dl_par, &mut s_par, &mut pool)
+                .unwrap();
         prop_assert!(
             par == csr,
             "parallel build diverges from sequential at {} threads",
@@ -172,12 +175,13 @@ fn check_case(
     let mut dl2 = Deadline::unlimited();
     netembed::ecf::search(
         &problem,
+        &csr,
         NodeOrder::AscendingCandidates,
         &mut dl2,
         &mut sink,
         &mut stats,
-    )
-    .unwrap();
+        &mut SearchScratch::new(),
+    );
 
     prop_assert_eq!(
         sorted_mappings(sink.solutions),
@@ -210,13 +214,14 @@ fn check_steal_case(
     let mut sink = CollectAll::default();
     let mut seq_stats = SearchStats::default();
     let mut dl_seq = Deadline::unlimited();
-    netembed::ecf::search_prebuilt(
+    netembed::ecf::search(
         &problem,
         &filter,
         NodeOrder::AscendingCandidates,
         &mut dl_seq,
         &mut sink,
         &mut seq_stats,
+        &mut SearchScratch::new(),
     );
     let seq = sorted_mappings(sink.solutions);
 
@@ -224,7 +229,7 @@ fn check_steal_case(
         let mut scratch = ParallelScratch::new();
         let mut stats = SearchStats::default();
         let mut dl_par = Deadline::unlimited();
-        let (sols, end) = parallel::search_prebuilt_with_policy(
+        let (sols, end) = parallel::search(
             &problem,
             &filter,
             threads,
@@ -264,7 +269,7 @@ fn check_steal_case(
             let k = 1 + seq.len() / 2;
             let mut limit_dl = Deadline::unlimited();
             let mut lstats = SearchStats::default();
-            let (lsols, lend) = parallel::search_prebuilt_with_policy(
+            let (lsols, lend) = parallel::search(
                 &problem,
                 &filter,
                 threads,
@@ -289,7 +294,7 @@ fn check_steal_case(
         let mut cancel_dl = Deadline::unlimited();
         cancel_dl.cancel();
         let mut cstats = SearchStats::default();
-        let (csols, cend) = parallel::search_prebuilt_with_policy(
+        let (csols, cend) = parallel::search(
             &problem,
             &filter,
             threads,

@@ -14,7 +14,7 @@
 //! linearity, crossovers) are scale-invariant, which is what the paper's
 //! qualitative claims rest on.
 
-use netembed::{Algorithm, EmbedResult, Engine, Options, SearchMode};
+use netembed::{Algorithm, EmbedResult, EmbedScratch, Engine, Options, SearchMode};
 use netgraph::Network;
 use std::time::Duration;
 use topogen::{BriteParams, PlanetlabParams};
@@ -134,7 +134,15 @@ pub fn run_once(
     seed: u64,
 ) -> Sample {
     if mode == SearchMode::All {
-        return run_counting(host, query, constraint, algorithm, timeout, seed);
+        return run_counting(
+            host,
+            query,
+            constraint,
+            algorithm,
+            timeout,
+            seed,
+            &mut EmbedScratch::new(),
+        );
     }
     let engine = Engine::new(host);
     let options = Options {
@@ -161,7 +169,10 @@ pub fn run_once(
     }
 }
 
-/// All-matches run that streams solutions through a counting sink.
+/// All-matches run that streams solutions through a counting sink (the
+/// parallel search merges its workers' solutions, which are then
+/// counted). `ms` covers the filter build plus the search. `scratch`
+/// carries the DFS arenas and the worker pool.
 pub fn run_counting(
     host: &Network,
     query: &Network,
@@ -169,9 +180,11 @@ pub fn run_counting(
     algorithm: Algorithm,
     timeout: Duration,
     seed: u64,
+    scratch: &mut EmbedScratch,
 ) -> Sample {
     use netembed::sink::CountOnly;
-    use netembed::{Deadline, NodeOrder, Problem, SearchStats};
+    use netembed::{ecf, lns, parallel, rwb};
+    use netembed::{Deadline, FilterMatrix, NodeOrder, Problem, SearchStats, StealPolicy};
     let problem = match Problem::new(query, host, constraint) {
         Ok(p) => p,
         Err(e) => {
@@ -186,35 +199,70 @@ pub fn run_counting(
     let mut sink = CountOnly::default();
     let mut stats = SearchStats::default();
     let mut deadline = Deadline::new(Some(timeout));
+    let order = NodeOrder::default();
+    let start = std::time::Instant::now();
     let res = match algorithm {
-        Algorithm::Ecf | Algorithm::ParallelEcf { .. } => netembed::ecf::search(
+        Algorithm::Lns => lns::search(
             &problem,
-            NodeOrder::default(),
+            &lns::LnsConfig::default(),
             &mut deadline,
             &mut sink,
             &mut stats,
-        ),
-        Algorithm::Rwb => netembed::rwb::search_into(
+            &mut scratch.search,
+        )
+        .map(drop),
+        _ => FilterMatrix::build_par_pooled(
             &problem,
-            seed,
-            NodeOrder::default(),
+            algorithm.threads(),
             &mut deadline,
-            &mut sink,
             &mut stats,
-        ),
-        Algorithm::Lns => netembed::lns::search(
-            &problem,
-            &netembed::lns::LnsConfig::default(),
-            &mut deadline,
-            &mut sink,
-            &mut stats,
-        ),
+            scratch.parallel.pool_mut(),
+        )
+        .map(|filter| match algorithm {
+            Algorithm::ParallelEcf { threads } => {
+                let (found, _) = parallel::search(
+                    &problem,
+                    &filter,
+                    threads,
+                    None,
+                    order,
+                    &mut deadline,
+                    &mut stats,
+                    &mut scratch.parallel,
+                    StealPolicy::default(),
+                );
+                sink.count = found.len() as u64;
+            }
+            Algorithm::Rwb => {
+                rwb::search(
+                    &problem,
+                    &filter,
+                    seed,
+                    order,
+                    &mut deadline,
+                    &mut sink,
+                    &mut stats,
+                    &mut scratch.search,
+                );
+            }
+            _ => {
+                ecf::search(
+                    &problem,
+                    &filter,
+                    order,
+                    &mut deadline,
+                    &mut sink,
+                    &mut stats,
+                    &mut scratch.search,
+                );
+            }
+        }),
     };
     if let Err(e) = res {
         eprintln!("# error: {e}");
     }
     Sample {
-        ms: stats.elapsed.as_secs_f64() * 1e3,
+        ms: start.elapsed().as_secs_f64() * 1e3,
         timed_out: stats.timed_out,
         solutions: sink.count,
     }
@@ -227,4 +275,40 @@ pub fn algo_series() -> Vec<(Algorithm, &'static str)> {
         (Algorithm::Rwb, "RWB"),
         (Algorithm::Lns, "LNS"),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netgraph::{Direction, NodeId};
+
+    #[test]
+    fn parallel_counting_run_uses_the_pool_and_matches_ecf() {
+        let mut host = Network::new(Direction::Undirected);
+        let hs: Vec<NodeId> = (0..8).map(|i| host.add_node(format!("h{i}"))).collect();
+        for i in 0..8 {
+            for j in (i + 1)..8 {
+                host.add_edge(hs[i], hs[j]);
+            }
+        }
+        let mut query = Network::new(Direction::Undirected);
+        let qs: Vec<NodeId> = (0..4).map(|i| query.add_node(format!("q{i}"))).collect();
+        for i in 0..4 {
+            query.add_edge(qs[i], qs[(i + 1) % 4]);
+        }
+        let timeout = Duration::from_secs(60);
+        let run = |algorithm, scratch: &mut EmbedScratch| {
+            run_counting(&host, &query, "true", algorithm, timeout, 0, scratch)
+        };
+        let ecf = run(Algorithm::Ecf, &mut EmbedScratch::new());
+        let mut scratch = EmbedScratch::new();
+        let par = run(Algorithm::ParallelEcf { threads: 4 }, &mut scratch);
+        assert!(
+            scratch.parallel.pool().thread_count() >= 2,
+            "the parallel ablation ran on one thread"
+        );
+        assert_eq!(par.solutions, ecf.solutions);
+        assert_eq!(ecf.solutions, 8 * 7 * 6 * 5);
+        assert!(!par.timed_out && !ecf.timed_out);
+    }
 }

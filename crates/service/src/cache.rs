@@ -291,6 +291,13 @@ impl<K: EpochKey, V> BuildTicket<'_, K, V> {
         self.resolve_abandoned();
     }
 
+    /// Threads currently blocked on this build: lets tests sequence
+    /// "a waiter has joined" without sleeping.
+    #[cfg(test)]
+    pub(crate) fn waiters(&self) -> u64 {
+        self.slot.waiters.load(Ordering::Relaxed)
+    }
+
     fn resolve_abandoned(&mut self) {
         self.resolved = true;
         self.cache.inflight.lock().unwrap().remove(&self.key);

@@ -1644,15 +1644,11 @@ mod tests {
             // The mate's wait dispatches the blocked group first (FIFO)
             // and parks inside fetch_or_build until the build resolves.
             let waiter = s.spawn(|| mate.wait().unwrap());
-            while svc.cache().dedup_waits() == 0 && !planner.is_cancelled(victim.shard, victim.id) {
-                if lock_state(&planner.shards[0].state).dispatching {
-                    break;
-                }
+            // Once the dispatcher has joined the held build's waiters it
+            // is inside the fetch: cancel the member it is working for.
+            while build.waiters() == 0 {
                 std::thread::yield_now();
             }
-            // Give the dispatcher a moment to actually enter the fetch,
-            // then cancel the member it is working for.
-            std::thread::sleep(Duration::from_millis(5));
             drop(victim);
             assert_eq!(
                 svc.telemetry().queue_depth,
@@ -1703,11 +1699,14 @@ mod tests {
         let live = planner.submit(&free).unwrap();
         std::thread::scope(|s| {
             let waiter = s.spawn(|| live.wait().unwrap());
-            // Let the dispatcher park inside the victim's fetch, then
-            // cancel the victim. The probe fires, the dispatcher moves
-            // on to the live member's group, and the waiter completes —
-            // while the external build ticket is STILL unresolved.
-            std::thread::sleep(Duration::from_millis(10));
+            // Once the dispatcher is parked inside the victim's fetch
+            // (it has joined the held build's waiters), cancel the
+            // victim. The probe fires, the dispatcher moves on to the
+            // live member's group, and the waiter completes — while the
+            // external build ticket is STILL unresolved.
+            while build.waiters() == 0 {
+                std::thread::yield_now();
+            }
             drop(victim);
             let resp = waiter.join().unwrap();
             assert_eq!(resp.mappings().len(), 2);

@@ -380,12 +380,12 @@ impl<'a> Acquire<'a> {
                     false,
                 ),
             };
-            let mut result = Engine::run_hier(problem, &hier, options, scratch)?;
+            let mut result = Engine::run_prebuilt(problem, &*hier, options, scratch)?;
             result.stats.hierarchy_cache_hits = u64::from(hit);
             return Ok(result);
         }
         if let Some(filter) = self.pinned.clone() {
-            let mut result = Engine::run_prebuilt(problem, &filter, options, scratch)?;
+            let mut result = Engine::run_prebuilt(problem, &*filter, options, scratch)?;
             result.stats.filter_cache_hits += 1;
             return Ok(result);
         }
@@ -396,7 +396,7 @@ impl<'a> Acquire<'a> {
         {
             FilterFetch::Hit(filter) => {
                 self.pinned = Some(filter.clone());
-                let mut result = Engine::run_prebuilt(problem, &filter, options, scratch)?;
+                let mut result = Engine::run_prebuilt(problem, &*filter, options, scratch)?;
                 result.stats.filter_cache_hits += 1;
                 Ok(result)
             }
@@ -411,7 +411,7 @@ impl<'a> Acquire<'a> {
                     timeout: charge.remaining(options.timeout),
                     ..options.clone()
                 };
-                let mut result = Engine::run_prebuilt(problem, &filter, &run_options, scratch)?;
+                let mut result = Engine::run_prebuilt(problem, &*filter, &run_options, scratch)?;
                 result.stats.filter_cache_hits += 1;
                 result.stats.dedup_waits += 1;
                 result.stats.elapsed += charge.spent();
@@ -451,24 +451,16 @@ impl<'a> Acquire<'a> {
                 charge.mark_build_start();
                 let mut deadline = Deadline::new(charge.remaining_now(options.timeout));
                 let mut build_stats = SearchStats::default();
-                let threads = match options.algorithm {
-                    Algorithm::ParallelEcf { threads } => threads,
-                    _ => 1,
-                };
                 // A `?` here drops the ticket, which abandons the key so
                 // a waiter can take over — builders never strand
                 // waiters.
-                let filter = Arc::new(if threads > 1 {
-                    FilterMatrix::build_par_pooled(
-                        problem,
-                        threads,
-                        &mut deadline,
-                        &mut build_stats,
-                        scratch.parallel.pool_mut(),
-                    )?
-                } else {
-                    FilterMatrix::build(problem, &mut deadline, &mut build_stats)?
-                });
+                let filter = Arc::new(FilterMatrix::build_par_pooled(
+                    problem,
+                    options.algorithm.threads(),
+                    &mut deadline,
+                    &mut build_stats,
+                    scratch.parallel.pool_mut(),
+                )?);
                 charge.finish_build(scratch.parallel.pool().spawned_total());
                 if filter.truncated() {
                     ticket.abandon();
@@ -482,7 +474,7 @@ impl<'a> Acquire<'a> {
                     timeout: charge.remaining(options.timeout),
                     ..options.clone()
                 };
-                let mut result = Engine::run_prebuilt(problem, &filter, &run_options, scratch)?;
+                let mut result = Engine::run_prebuilt(problem, &*filter, &run_options, scratch)?;
                 charge.charge_build(&mut result.stats, &build_stats);
                 charge.settle_pool_reuse(&mut result.stats);
                 Ok(result)
