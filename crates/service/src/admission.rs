@@ -19,8 +19,8 @@
 //!   and monitor-driven re-checks ([`Priority::High`]) outrank
 //!   speculative probes ([`Priority::Low`]);
 //! * [`ServiceConfig`] is the per-service knob block (builder style):
-//!   the admission policy, the previously hard-coded parked-scratch and
-//!   parked-pool-thread caps, and a [`FaultPlan`] for chaos testing;
+//!   the admission and staleness policies, the planner shard count, and
+//!   a [`FaultPlan`] for chaos testing;
 //! * `OverloadStats` (exposed through
 //!   [`ServiceTelemetry`](crate::ServiceTelemetry)) carries the
 //!   queue-depth gauge, per-reason shed counters, the dispatch-latency
@@ -37,7 +37,7 @@
 //! the shed column); it never double-counts. The chaos harness
 //! (`tests/chaos.rs`) asserts this under randomized interleavings.
 
-use netembed::{HistogramSnapshot, LatencyHistogram};
+use netembed::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -291,24 +291,15 @@ fn fire(counter: &AtomicU64, every: u64) -> bool {
     every != 0 && (counter.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
 }
 
-/// Per-service configuration (builder style): admission policy, the
-/// scratch/pool parking caps that used to be hard-coded constants, and
-/// the chaos-testing fault plan. Pass to
+/// Per-service configuration (builder style): admission and staleness
+/// policies, planner shard count, and the chaos-testing fault plan.
+/// Pass to
 /// [`NetEmbedService::with_config`](crate::NetEmbedService::with_config).
+/// The scratch/pool parking caps are not configured here: they adapt to
+/// observed concurrency (see
+/// [`NetEmbedService::effective_max_parked_scratches`](crate::NetEmbedService::effective_max_parked_scratches)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceConfig {
-    /// Warm scratches parked between prepared queries. `None` (the
-    /// default) is **adaptive**: the service derives the cap from its
-    /// shard count and the observed peak of concurrently leased
-    /// scratches, never below the historical fixed cap of 8 (see
-    /// [`NetEmbedService::effective_max_parked_scratches`](crate::NetEmbedService::effective_max_parked_scratches)).
-    /// An explicit `Some` value is authoritative.
-    pub max_parked_scratches: Option<usize>,
-    /// A scratch whose worker pool exceeds this many threads is dropped
-    /// at check-in instead of parked. `None` (the default) is adaptive
-    /// like `max_parked_scratches`, never below the historical fixed
-    /// cap of 32; an explicit `Some` value is authoritative.
-    pub max_parked_pool_threads: Option<usize>,
     /// Number of planner dispatch shards. `None` (the default) resolves
     /// at service construction: the `NETEMBED_PLANNER_SHARDS`
     /// environment variable if set, else the machine's available
@@ -327,18 +318,6 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Set an explicit (authoritative) parked-scratch cap.
-    pub fn max_parked_scratches(mut self, n: usize) -> Self {
-        self.max_parked_scratches = Some(n);
-        self
-    }
-
-    /// Set an explicit parked-pool-thread cap (clamped to ≥ 1).
-    pub fn max_parked_pool_threads(mut self, n: usize) -> Self {
-        self.max_parked_pool_threads = Some(n.max(1));
-        self
-    }
-
     /// Pin the planner shard count (clamped to ≥ 1). One shard
     /// reproduces the pre-sharding fully-serialized dispatch exactly.
     pub fn planner_shards(mut self, n: usize) -> Self {
@@ -365,7 +344,10 @@ impl ServiceConfig {
     }
 }
 
-/// Snapshot of the per-reason shed counters.
+/// Snapshot of the per-reason shed counters. They count planner
+/// requests only; a shed on the direct
+/// [`PreparedQuery`](crate::PreparedQuery) path resolves the same way
+/// but lands on no ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShedCounters {
     /// Requests shed because the planner queue was full.
@@ -409,15 +391,13 @@ impl ShedCounters {
 const EWMA_SHIFT: u32 = 2;
 
 /// The per-shard overload instrumentation: one block of relaxed
-/// atomics per planner dispatch shard, shared by every planner of a
-/// service (so multiple planners over one service report one coherent
-/// per-lane picture; the service-wide view is the bucket-wise roll-up
-/// across shards, computed in
-/// [`telemetry`](crate::NetEmbedService::telemetry)). All counters are
-/// lifetime totals; `queue_depth` is a gauge. The ledger identity
-/// `accepted + shed == submitted` holds **per shard** — every request
-/// is routed to exactly one shard and all of its counter traffic stays
-/// there — and therefore also in the roll-up.
+/// atomics per planner dispatch shard, stored in the lane it counts
+/// (the service-wide view is the bucket-wise roll-up across shards,
+/// computed in [`telemetry`](crate::NetEmbedService::telemetry)).
+/// All counters are lifetime totals; `queue_depth` is a gauge. The
+/// ledger identity `accepted + shed == submitted` holds **per shard** —
+/// every request is routed to exactly one shard and all of its counter
+/// traffic stays there — and therefore also in the roll-up.
 #[derive(Debug, Default)]
 pub(crate) struct OverloadStats {
     submitted: AtomicU64,
@@ -534,14 +514,6 @@ impl OverloadStats {
             stale_model: self.shed_stale.load(Ordering::Relaxed),
         }
     }
-
-    pub(crate) fn queue_wait_snapshot(&self) -> HistogramSnapshot {
-        self.queue_wait.snapshot()
-    }
-
-    pub(crate) fn dispatch_snapshot(&self) -> HistogramSnapshot {
-        self.dispatch.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -582,18 +554,11 @@ mod tests {
     }
 
     #[test]
-    fn service_config_park_caps_and_shards_are_optional() {
-        // Defaults are adaptive (None); builders pin explicit values.
-        let d = ServiceConfig::default();
-        assert_eq!(d.max_parked_scratches, None);
-        assert_eq!(d.max_parked_pool_threads, None);
-        assert_eq!(d.planner_shards, None);
-        let c = ServiceConfig::default()
-            .max_parked_scratches(3)
-            .max_parked_pool_threads(0)
-            .planner_shards(0);
-        assert_eq!(c.max_parked_scratches, Some(3));
-        assert_eq!(c.max_parked_pool_threads, Some(1), "clamped to ≥ 1");
+    fn service_config_shards_are_optional() {
+        // The default resolves at construction (None); the builder pins
+        // an explicit value.
+        assert_eq!(ServiceConfig::default().planner_shards, None);
+        let c = ServiceConfig::default().planner_shards(0);
         assert_eq!(c.planner_shards, Some(1), "clamped to ≥ 1");
     }
 

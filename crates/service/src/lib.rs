@@ -16,8 +16,8 @@
 //!    `(host, model epoch, query fingerprint, constraint)`, and leases a
 //!    warm scratch + persistent worker pool so repeated runs are
 //!    build-free, allocation-free and thread-spawn-free.
-//!    [`NetEmbedService::submit`] / [`NetEmbedService::submit_batch`]
-//!    are thin wrappers over it, and the interactive
+//!    [`NetEmbedService::submit`] is a thin wrapper over it, batches
+//!    run through [`PreparedQuery::run_batch`], and the interactive
 //!    requirement-adjustment loop is [`NetEmbedService::negotiate`];
 //! 3. an optional **resource reservation system** that adjusts the model
 //!    when mappings are allocated → [`reservation::ReservationManager`].
@@ -46,7 +46,10 @@
 //!    once per snapshot and serves both the search and the final
 //!    mapping re-verification.
 //! 3. **planner** (optional, [`NetEmbedService::planner`]) — concurrent
-//!    clients enqueue [`planner::PlannedRequest`]s. The request's
+//!    clients enqueue [`planner::PlannedRequest`]s into the service's
+//!    dispatch lanes. The lanes belong to the service; a [`Planner`] is
+//!    a free `Copy` handle onto them, so every handle shares the same
+//!    queues, bounds and ledgers. The request's
 //!    grouping key `(host, epoch, query fingerprint, constraint)` —
 //!    exactly a [`FilterKey`] — is **hashed onto one of N dispatch
 //!    shards** ([`NetEmbedService::planner_shards`]); within its shard,
@@ -140,7 +143,9 @@
 //!
 //! The queues above are bounded by a per-service
 //! [`AdmissionPolicy`] (part of [`ServiceConfig`], default:
-//! unbounded). Enforcement happens at the two places a request can
+//! unbounded). The service owns one queue per shard, so every bound is
+//! checked against every queued request, whichever [`Planner`] handle
+//! submitted it. Enforcement happens at the two places a request can
 //! start waiting:
 //!
 //! * **`Planner::submit`** — before a request takes a queue slot in
@@ -163,6 +168,9 @@
 //!   [`ShedMode`]: a deterministic
 //!   [`ServiceError::Overloaded`] ([`ShedMode::Reject`]) or a fast
 //!   timed-out `Inconclusive` ([`ShedMode::DegradeInconclusive`]).
+//!   One rule makes that choice for every shed on every path, so the
+//!   planner and the direct [`PreparedQuery`] path answer a shed
+//!   request identically.
 //! * **`FilterCache::fetch_or_build`** — at most `max_dedup_waiters`
 //!   threads may block on one in-flight filter build; the excess is
 //!   shed the same way instead of convoying behind a single build.
@@ -217,7 +225,9 @@
 //!                the slot was already released at cancel time)
 //! ```
 //!
-//! All gauges and counters above are the routed shard's. Every path
+//! All gauges and counters above are the routed shard's, and the shard
+//! is the service's: tickets from different [`Planner`] handles of one
+//! service queue, coalesce and count in the same lanes. Every path
 //! decrements that shard's queue-depth gauge exactly once, so the
 //! ledger identity `Σaccepted + Σshed == Σsubmitted` (and gauge = 0 at
 //! drain) holds **per shard** under arbitrary interleavings — and
@@ -263,12 +273,14 @@ pub use reservation::{Reservation, ReservationError, ReservationManager};
 pub use schedule::{Allocation, ScheduleError, ScheduledEmbedding, Scheduler, Tick};
 
 use netembed::{
-    EmbedScratch, HistogramSnapshot, Mapping, Options, Outcome, ProblemError, SearchStats,
+    EmbedResult, EmbedScratch, HistogramSnapshot, Mapping, Options, Outcome, ProblemError,
+    SearchStats,
 };
 use netgraph::Network;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// A query submitted to the service.
 #[derive(Debug, Clone)]
@@ -281,24 +293,6 @@ pub struct QueryRequest {
     pub constraint: String,
     /// Engine options (algorithm, mode, timeout, …).
     pub options: Options,
-}
-
-/// A batch of embedding runs over one `(host, query, constraint)` triple
-/// — e.g. thousands of RWB samples with different seeds, or one query
-/// swept across modes/orders/thread counts. The whole batch runs on one
-/// model snapshot through a [`PreparedQuery`], so the problem is
-/// compiled once and one filter build (or cache hit) plus one leased
-/// scratch serve every run (see [`NetEmbedService::submit_batch`]).
-#[derive(Debug, Clone)]
-pub struct BatchQueryRequest {
-    /// Name of the hosting-network model to embed into.
-    pub host: String,
-    /// The query (virtual) network, shared by every run.
-    pub query: Network,
-    /// Constraint expression source, shared by every run.
-    pub constraint: String,
-    /// One engine-options set per run.
-    pub runs: Vec<Options>,
 }
 
 /// Marker stamped on responses computed while the model feed was
@@ -337,6 +331,19 @@ impl QueryResponse {
     /// The mappings found (empty for inconclusive results).
     pub fn mappings(&self) -> &[Mapping] {
         self.outcome.mappings()
+    }
+
+    /// The one place a response is built from an engine result: carry
+    /// the outcome and statistics over and stamp `staleness` — the
+    /// serve-time verdict on the model the result was computed against
+    /// — mirroring its lag into [`SearchStats::staleness_lag`].
+    pub(crate) fn served(mut result: EmbedResult, staleness: Option<Staleness>) -> Self {
+        result.stats.staleness_lag = staleness.map_or(0, |s| s.lag);
+        QueryResponse {
+            outcome: result.outcome,
+            stats: result.stats,
+            staleness,
+        }
     }
 }
 
@@ -467,13 +474,23 @@ pub struct NetEmbedService {
     /// single pool.
     scratches: Mutex<Vec<EmbedScratch>>,
     config: ServiceConfig,
-    /// Dispatch-shard count, resolved once at construction (see
-    /// [`resolve_planner_shards`]); every planner of this service gets
-    /// this many lanes, matching `overload.len()`.
-    planner_shards: usize,
-    /// One overload ledger per planner dispatch shard; the service-wide
-    /// picture is the roll-up ([`NetEmbedService::telemetry`]).
-    overload: Box<[admission::OverloadStats]>,
+    /// The planner's dispatch lanes, one per shard (the count is
+    /// resolved once at construction, see [`resolve_planner_shards`]).
+    /// Each lane holds its queue and the overload ledger that counts
+    /// it; every [`Planner`] handle of this service shares them, and
+    /// the service-wide picture is their roll-up
+    /// ([`NetEmbedService::telemetry`]).
+    shards: Box<[planner::Shard]>,
+    /// Planner-wide counters, shared by every handle: request ids,
+    /// group creation sequence numbers (the FIFO tie-breaker), groups
+    /// dispatched, pin-riding members, and the dispatchers executing a
+    /// group right now with their high-water mark.
+    next_id: AtomicU64,
+    next_seq: AtomicU64,
+    groups_dispatched: AtomicU64,
+    coalesced_total: AtomicU64,
+    dispatchers_in_flight: AtomicUsize,
+    dispatchers_peak: AtomicUsize,
     /// Scratches currently leased out, and the lifetime peak — the
     /// observed-concurrency signal the adaptive parking caps are driven
     /// from (see [`NetEmbedService::effective_max_parked_scratches`]).
@@ -495,20 +512,24 @@ impl NetEmbedService {
     }
 
     /// A service with explicit per-service knobs: admission bounds and
-    /// shed mode, parked-scratch/pool caps, planner shard count, and
-    /// (for chaos testing) a fault-injection plan.
+    /// shed mode, staleness policy, planner shard count, and (for chaos
+    /// testing) a fault-injection plan.
     pub fn with_config(config: ServiceConfig) -> Self {
-        let planner_shards = resolve_planner_shards(&config);
         NetEmbedService {
             registry: ModelRegistry::new(),
             cache: FilterCache::new().with_max_waiters(config.admission.max_dedup_waiters),
             hierarchies: HierarchyCache::new(),
             scratches: Mutex::new(Vec::new()),
-            config,
-            planner_shards,
-            overload: (0..planner_shards)
-                .map(|_| admission::OverloadStats::default())
+            shards: (0..resolve_planner_shards(&config))
+                .map(|_| planner::Shard::default())
                 .collect(),
+            config,
+            next_id: AtomicU64::new(0),
+            next_seq: AtomicU64::new(0),
+            groups_dispatched: AtomicU64::new(0),
+            coalesced_total: AtomicU64::new(0),
+            dispatchers_in_flight: AtomicUsize::new(0),
+            dispatchers_peak: AtomicUsize::new(0),
             leases_out: AtomicUsize::new(0),
             lease_peak: AtomicUsize::new(0),
             faults: admission::FaultInjector::new(config.faults),
@@ -560,29 +581,25 @@ impl NetEmbedService {
         Ok(hier)
     }
 
-    /// The service's configuration (admission policy, parking caps).
+    /// The service's configuration (admission and staleness policies,
+    /// shard count, fault plan).
     pub fn config(&self) -> &ServiceConfig {
         &self.config
     }
 
     /// Number of planner dispatch shards (resolved at construction:
     /// explicit config, else `NETEMBED_PLANNER_SHARDS`, else available
-    /// parallelism capped at 8). Every [`Planner`] created from this
-    /// service has exactly this many lanes.
+    /// parallelism capped at 8). Every [`Planner`] handle of this
+    /// service dispatches through these same lanes.
     pub fn planner_shards(&self) -> usize {
-        self.planner_shards
-    }
-
-    /// The overload ledger of one dispatch shard.
-    pub(crate) fn overload_shard(&self, shard: usize) -> &admission::OverloadStats {
-        &self.overload[shard]
+        self.shards.len()
     }
 
     /// Admitted-but-unresolved requests across all shards right now
     /// (the sum of the per-shard queue-depth gauges) — what the
     /// service-wide `max_total_queue_depth` cap is checked against.
     pub(crate) fn total_queue_depth(&self) -> usize {
-        self.overload.iter().map(|o| o.queue_depth()).sum()
+        self.shards.iter().map(|s| s.overload.queue_depth()).sum()
     }
 
     pub(crate) fn faults(&self) -> &admission::FaultInjector {
@@ -624,6 +641,27 @@ impl NetEmbedService {
         }
     }
 
+    /// The one shed rule: how a request shed for `reason` after
+    /// `queued` in a queue resolves for its caller, on every serving
+    /// path. A hopeless deadline is a predicted timeout, so it resolves
+    /// as one under every mode; any other reason follows the service's
+    /// [`ShedMode`]. A degraded answer was computed against no model,
+    /// so it carries no [`Staleness`] marker.
+    pub(crate) fn shed(
+        &self,
+        reason: ShedReason,
+        queued: Duration,
+    ) -> Result<QueryResponse, ServiceError> {
+        match self.config.admission.shed {
+            ShedMode::Reject if reason != ShedReason::DeadlineHopeless => {
+                Err(ServiceError::Overloaded(reason))
+            }
+            ShedMode::Reject | ShedMode::DegradeInconclusive => {
+                Ok(QueryResponse::served(prepared::timed_out(queued), None))
+            }
+        }
+    }
+
     /// The [`Staleness`] marker to stamp on a response computed against
     /// `epoch` right now — `None` while the feed is live.
     pub(crate) fn current_staleness(&self, epoch: ModelEpoch) -> Option<Staleness> {
@@ -636,34 +674,32 @@ impl NetEmbedService {
         })
     }
 
-    /// The parked-scratch cap in force right now: an explicit
-    /// [`ServiceConfig::max_parked_scratches`] verbatim, else adaptive —
-    /// enough parked scratches to re-lease one to every dispatch shard
-    /// *and* to the peak number of concurrent leases ever observed,
-    /// never below the historical fixed cap of 8 (and capped at 64 so a
-    /// one-off spike cannot pin unbounded memory).
-    pub fn effective_max_parked_scratches(&self) -> usize {
-        self.config.max_parked_scratches.unwrap_or_else(|| {
-            let observed = self
-                .planner_shards
-                .max(self.lease_peak.load(Ordering::Relaxed));
-            observed.clamp(8, 64)
-        })
+    /// The observed-concurrency signal the parking caps adapt to: the
+    /// dispatch shard count or the peak number of concurrent scratch
+    /// leases ever observed, whichever is larger.
+    fn observed_concurrency(&self) -> usize {
+        self.shards
+            .len()
+            .max(self.lease_peak.load(Ordering::Relaxed))
     }
 
-    /// The parked-pool-thread cap in force right now: an explicit
-    /// [`ServiceConfig::max_parked_pool_threads`] verbatim, else
-    /// adaptive — scaled off the same observed-concurrency signal as
+    /// The parked-scratch cap in force right now: enough parked
+    /// scratches to re-lease one to every dispatch shard *and* to the
+    /// peak number of concurrent leases ever observed, never below the
+    /// historical fixed cap of 8 (and capped at 64 so a one-off spike
+    /// cannot pin unbounded memory).
+    pub fn effective_max_parked_scratches(&self) -> usize {
+        self.observed_concurrency().clamp(8, 64)
+    }
+
+    /// The parked-pool-thread cap in force right now: a scratch whose
+    /// worker pool exceeds it is dropped at check-in instead of parked.
+    /// Scaled off the same signal as
     /// [`NetEmbedService::effective_max_parked_scratches`] (8 threads
     /// per concurrent lease, the historical per-scratch budget), never
     /// below the historical fixed cap of 32 and capped at 256.
     pub fn effective_max_parked_pool_threads(&self) -> usize {
-        self.config.max_parked_pool_threads.unwrap_or_else(|| {
-            let observed = self
-                .planner_shards
-                .max(self.lease_peak.load(Ordering::Relaxed));
-            (8 * observed).clamp(32, 256)
-        })
+        (8 * self.observed_concurrency()).clamp(32, 256)
     }
 
     pub(crate) fn checkout_scratch(&self) -> EmbedScratch {
@@ -734,26 +770,6 @@ impl NetEmbedService {
             self.prepare(&request.host, request.query.clone(), &request.constraint)?;
         prepared.run(&request.options)
     }
-
-    /// Submit a batch of runs over one `(host, query, constraint)`
-    /// triple (§III component 2, amortized): a thin wrapper over
-    /// [`PreparedQuery::run_batch`]. One model snapshot, one compiled
-    /// problem, and one filter build — or cache hit — serve every
-    /// filter-based run; the build is charged to the run that triggered
-    /// it (its timeout budget, its eval counters, its wall time),
-    /// exactly as in [`NetEmbedService::submit`]. If a build is cut
-    /// short by its run's deadline, that run reports `Inconclusive`,
-    /// the truncated filter is discarded (never cached), and the next
-    /// filter-needing run retries under its own budget. Every returned
-    /// mapping is independently re-verified.
-    pub fn submit_batch(
-        &self,
-        request: &BatchQueryRequest,
-    ) -> Result<Vec<QueryResponse>, ServiceError> {
-        let mut prepared =
-            self.prepare(&request.host, request.query.clone(), &request.constraint)?;
-        prepared.run_batch(&request.runs)
-    }
 }
 
 impl Default for NetEmbedService {
@@ -823,9 +839,11 @@ pub struct ServiceTelemetry {
     /// Planner requests admitted to a queue and not later evicted,
     /// summed across shards.
     pub accepted: u64,
-    /// Requests shed, by reason (admission refusals, evictions,
-    /// deadline-hopeless sheds, dedup-waiter overflow), summed across
-    /// shards.
+    /// Planner requests shed, by reason (admission refusals,
+    /// evictions, deadline-hopeless sheds, dedup-waiter overflow),
+    /// summed across shards. Sheds on the direct [`PreparedQuery`]
+    /// path are not counted: it has no `submitted` count to balance
+    /// them against.
     pub shed: ShedCounters,
     /// Fixed-bucket histogram of enqueue→dispatch waits (merged across
     /// shards).
@@ -873,15 +891,15 @@ impl NetEmbedService {
     pub fn telemetry(&self) -> ServiceTelemetry {
         let parked = self.scratches.lock();
         let shards: Vec<ShardTelemetry> = self
-            .overload
+            .shards
             .iter()
-            .map(|o| ShardTelemetry {
-                queue_depth: o.queue_depth(),
-                submitted: o.submitted(),
-                accepted: o.accepted(),
-                shed: o.shed_counters(),
-                queue_wait: o.queue_wait_snapshot(),
-                dispatch_latency: o.dispatch_snapshot(),
+            .map(|s| ShardTelemetry {
+                queue_depth: s.overload.queue_depth(),
+                submitted: s.overload.submitted(),
+                accepted: s.overload.accepted(),
+                shed: s.overload.shed_counters(),
+                queue_wait: s.overload.queue_wait.snapshot(),
+                dispatch_latency: s.overload.dispatch.snapshot(),
             })
             .collect();
         let mut shed = ShedCounters::default();
@@ -903,7 +921,7 @@ impl NetEmbedService {
                 .map(|s| s.parallel.pool().spawned_total())
                 .sum(),
             scratch_lease_peak: self.lease_peak.load(Ordering::Relaxed),
-            planner_shards: self.planner_shards,
+            planner_shards: self.shards.len(),
             queue_depth: shards.iter().map(|s| s.queue_depth).sum(),
             submitted: shards.iter().map(|s| s.submitted).sum(),
             accepted: shards.iter().map(|s| s.accepted).sum(),
@@ -1057,17 +1075,6 @@ mod tests {
 
     #[test]
     fn adaptive_scratch_caps_track_shards_and_lease_peak() {
-        // Explicit config is authoritative — the adaptive signal never
-        // overrides it.
-        let svc = NetEmbedService::with_config(
-            ServiceConfig::default()
-                .max_parked_scratches(3)
-                .max_parked_pool_threads(40)
-                .planner_shards(6),
-        );
-        assert_eq!(svc.effective_max_parked_scratches(), 3);
-        assert_eq!(svc.effective_max_parked_pool_threads(), 40);
-
         // Adaptive defaults hold the historical floors at low
         // concurrency…
         let svc = NetEmbedService::with_config(ServiceConfig::default().planner_shards(2));
@@ -1233,15 +1240,13 @@ mod tests {
 
     #[test]
     fn oversized_pools_are_dropped_at_checkin_not_parked() {
-        // Small caps via ServiceConfig (the knobs that used to be
-        // hard-coded constants) so the test stays cheap.
-        let svc = NetEmbedService::with_config(
-            ServiceConfig::default()
-                .max_parked_scratches(2)
-                .max_parked_pool_threads(6),
-        );
+        // One shard and no leases: the adaptive caps sit at their
+        // floors, 32 pool threads and 8 parked scratches.
+        let svc = NetEmbedService::with_config(ServiceConfig::default().planner_shards(1));
+        assert_eq!(svc.effective_max_parked_pool_threads(), 32);
+        assert_eq!(svc.effective_max_parked_scratches(), 8);
         let mut big = EmbedScratch::new();
-        big.parallel.pool_mut().ensure_threads(7);
+        big.parallel.pool_mut().ensure_threads(33);
         svc.checkin_scratch(big);
         assert!(
             svc.scratches.lock().is_empty(),
@@ -1251,13 +1256,14 @@ mod tests {
         ok.parallel.pool_mut().ensure_threads(4);
         svc.checkin_scratch(ok);
         assert_eq!(svc.scratches.lock().len(), 1);
-        // The scratch-park cap is a knob too.
-        svc.checkin_scratch(EmbedScratch::new());
-        svc.checkin_scratch(EmbedScratch::new());
+        // The scratch-park cap holds too.
+        for _ in 0..8 {
+            svc.checkin_scratch(EmbedScratch::new());
+        }
         assert_eq!(
             svc.scratches.lock().len(),
-            2,
-            "park cap of 2 must hold the third scratch out"
+            8,
+            "park cap of 8 must hold the ninth scratch out"
         );
     }
 
@@ -1350,12 +1356,8 @@ mod tests {
         );
         // Batch path too.
         let err = svc
-            .submit_batch(&BatchQueryRequest {
-                host: "plab".into(),
-                query: edge_query(),
-                constraint: "rEdge.avgDelay <=".into(),
-                runs: vec![Options::default()],
-            })
+            .prepare("plab", edge_query(), "rEdge.avgDelay <=")
+            .and_then(|mut prepared| prepared.run_batch(&[Options::default()]))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1387,12 +1389,9 @@ mod tests {
             ..Options::default()
         });
         let responses = svc
-            .submit_batch(&BatchQueryRequest {
-                host: "plab".into(),
-                query: edge_query(),
-                constraint: "rEdge.avgDelay <= 15.0".into(),
-                runs,
-            })
+            .prepare("plab", edge_query(), "rEdge.avgDelay <= 15.0")
+            .unwrap()
+            .run_batch(&runs)
             .unwrap();
         assert_eq!(responses.len(), 12);
         let cells = responses[0].stats.filter_cells;
@@ -1463,12 +1462,9 @@ mod tests {
             },
         ];
         let responses = svc
-            .submit_batch(&BatchQueryRequest {
-                host: "skew".into(),
-                query: q,
-                constraint: "rEdge.avgDelay <= 20.0".into(),
-                runs,
-            })
+            .prepare("skew", q, "rEdge.avgDelay <= 20.0")
+            .unwrap()
+            .run_batch(&runs)
             .unwrap();
         assert_eq!(responses.len(), 3);
         let n = responses[0].mappings().len();
@@ -1520,12 +1516,8 @@ mod tests {
     fn batch_unknown_host_rejected() {
         let svc = NetEmbedService::new();
         let err = svc
-            .submit_batch(&BatchQueryRequest {
-                host: "nope".into(),
-                query: edge_query(),
-                constraint: "true".into(),
-                runs: vec![Options::default()],
-            })
+            .prepare("nope", edge_query(), "true")
+            .and_then(|mut prepared| prepared.run_batch(&[Options::default()]))
             .unwrap_err();
         assert!(matches!(err, ServiceError::UnknownHost(_)));
     }
@@ -1536,18 +1528,15 @@ mod tests {
         let svc = NetEmbedService::new();
         svc.registry().register("plab", triangle_host());
         let responses = svc
-            .submit_batch(&BatchQueryRequest {
-                host: "plab".into(),
-                query: edge_query(),
-                constraint: "rEdge.avgDelay <= 15.0".into(),
-                runs: vec![
-                    Options {
-                        timeout: Some(Duration::ZERO),
-                        ..Options::default()
-                    },
-                    Options::default(),
-                ],
-            })
+            .prepare("plab", edge_query(), "rEdge.avgDelay <= 15.0")
+            .unwrap()
+            .run_batch(&[
+                Options {
+                    timeout: Some(Duration::ZERO),
+                    ..Options::default()
+                },
+                Options::default(),
+            ])
             .unwrap();
         assert!(matches!(responses[0].outcome, Outcome::Inconclusive));
         assert!(responses[0].stats.timed_out);

@@ -46,15 +46,18 @@
 //!
 //! ## Dispatch model: sharded waiter-driven group commit
 //!
-//! The planner owns **no threads**. Its queue is split into `N`
-//! *dispatch shards* (`N` =
-//! [`NetEmbedService::planner_shards`]): a request's [`FilterKey`] is
-//! hashed once at submit and routes the request — and every counter,
-//! wait and wakeup it will ever touch — to exactly one shard. Each
-//! shard is the old planner in miniature: its own pending-group list,
-//! its own condvar, its own `dispatching` flag, and its own
-//! [`OverloadStats`](crate::ServiceTelemetry) block (queue-depth gauge,
-//! shed counters, dispatch-latency EWMA, histograms).
+//! The planner owns **no threads and no queues**: the service owns
+//! `N` *dispatch shards* (`N` = [`NetEmbedService::planner_shards`]),
+//! and a [`Planner`] is a free `Copy` handle onto them — every handle
+//! of one service shares the same lanes, so admission bounds see every
+//! queued request and equivalent requests coalesce whichever handle
+//! submitted them. A request's [`FilterKey`] is hashed once at submit
+//! and routes the request — and every counter, wait and wakeup it will
+//! ever touch — to exactly one shard. Each shard has its own
+//! pending-group list, its own condvar, its own `dispatching` flag, and
+//! its own overload ledger (queue-depth gauge, shed counters,
+//! dispatch-latency EWMA, histograms — see
+//! [`ServiceTelemetry::shards`](crate::ServiceTelemetry::shards)).
 //!
 //! Within a shard, dispatch is driven by whichever ticket is blocked in
 //! [`Ticket::wait`]: one waiter at a time becomes that shard's
@@ -103,14 +106,15 @@
 //! A member's `Options::timeout` is measured from **enqueue**: time
 //! spent queued behind other groups counts against its budget, and a
 //! member whose budget is exhausted when its turn comes is answered
-//! with a timed-out [`Outcome::Inconclusive`] (its `elapsed` reporting
-//! the queue wait) without running — and without disturbing its
-//! group-mates. Dropping a [`Ticket`] before [`Ticket::wait`] cancels
-//! the request: a still-queued member is unlinked from its group on the
-//! spot, a member already being dispatched has its result discarded at
-//! delivery (and the dispatcher's cancel probe aborts any dedup wait it
-//! was blocked in on that member's behalf) — either way no queue slot,
-//! result slot or cancellation mark survives the ticket.
+//! with a timed-out [`Outcome::Inconclusive`](netembed::Outcome) (its
+//! `elapsed` reporting the queue wait) without running — and without
+//! disturbing its group-mates. Dropping a [`Ticket`] before
+//! [`Ticket::wait`] cancels the request: a still-queued member is
+//! unlinked from its group on the spot, a member already being
+//! dispatched has its result discarded at delivery (and the
+//! dispatcher's cancel probe aborts any dedup wait it was blocked in
+//! on that member's behalf) — either way no queue slot, result slot or
+//! cancellation mark survives the ticket.
 //!
 //! ## Admission and load shedding
 //!
@@ -126,21 +130,22 @@
 //! [`Planner::submit`] is `Normal`); if none exists the incoming
 //! request itself is shed. The global cap always sheds the incoming
 //! request — lanes never reach into each other's queues. Shed requests
-//! resolve per [`ShedMode`]: a deterministic
+//! resolve per [`ShedMode`](crate::ShedMode): a deterministic
 //! [`ServiceError::Overloaded`] or a fast timed-out `Inconclusive`.
 //! The full lifecycle/state diagram lives in the crate docs
 //! ([`crate`], "Admission, priority and load shedding").
 
-use crate::admission::{Priority, ShedMode, ShedReason};
+use crate::admission::{OverloadStats, Priority, ShedReason};
 use crate::cache::FilterKey;
+use crate::prepared::{timed_out, Acquire};
 use crate::{NetEmbedService, QueryRequest, QueryResponse, ServiceError};
 use cexpr::Expr;
-use netembed::{Options, Outcome, Problem, SearchStats};
+use netembed::{Options, Problem};
 use netgraph::Network;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -195,59 +200,36 @@ struct ShardState {
     dispatching: bool,
 }
 
-/// One dispatch shard: its state plus its own condvar, so waiters and
-/// dispatchers of different lanes never wake each other.
-struct Shard {
+/// One dispatch lane of a service: its queue state, its own condvar
+/// (so waiters and dispatchers of different lanes never wake each
+/// other) and the overload ledger that counts its traffic.
+#[derive(Default)]
+pub(crate) struct Shard {
     state: Mutex<ShardState>,
     /// One condvar per shard for everything: result delivery and
     /// dispatcher-role handoff both go through `notify_all` (waiters
     /// re-check their own predicate under the shard lock, so wakeups
     /// are never lost).
     wake: Condvar,
+    pub(crate) overload: OverloadStats,
 }
 
-/// The coalescing, sharded cross-request queue. Create one per service
-/// with [`NetEmbedService::planner`]; share it by reference among
-/// client threads ([`Planner::submit`]/[`Planner::run`] take `&self`).
+/// A handle onto the service's coalescing, sharded request queue.
+/// [`NetEmbedService::planner`] hands one out for free; every handle of
+/// one service shares the same lanes, counters and ledgers, so copy it
+/// into client threads freely ([`Planner::submit`]/[`Planner::run`]
+/// take `&self`).
+#[derive(Clone, Copy)]
 pub struct Planner<'svc> {
     svc: &'svc NetEmbedService,
-    shards: Box<[Shard]>,
-    next_id: AtomicU64,
-    next_seq: AtomicU64,
-    groups_dispatched: AtomicU64,
-    coalesced_total: AtomicU64,
-    /// Dispatchers currently executing a group (across all shards) and
-    /// the high-water mark — the observable proof that distinct-key
-    /// groups really are in flight simultaneously.
-    dispatchers_in_flight: AtomicUsize,
-    dispatchers_peak: AtomicUsize,
 }
 
 impl NetEmbedService {
-    /// A coalescing request queue over this service (see
-    /// [`Planner`]), with [`NetEmbedService::planner_shards`] dispatch
-    /// shards. Cheap; independent planners don't share queues, but they
-    /// do share the service's registry, filter cache (with its
-    /// in-flight build dedup), per-shard overload ledgers and scratch
-    /// pool.
+    /// A handle onto this service's planner lanes (see [`Planner`]).
+    /// Allocates nothing: the lanes live in the service, beside the
+    /// registry, filter cache and scratch pool they dispatch into.
     pub fn planner(&self) -> Planner<'_> {
-        let shards = (0..self.planner_shards())
-            .map(|_| Shard {
-                state: Mutex::new(ShardState::default()),
-                wake: Condvar::new(),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Planner {
-            svc: self,
-            shards,
-            next_id: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
-            groups_dispatched: AtomicU64::new(0),
-            coalesced_total: AtomicU64::new(0),
-            dispatchers_in_flight: AtomicUsize::new(0),
-            dispatchers_peak: AtomicUsize::new(0),
-        }
+        Planner { svc: self }
     }
 }
 
@@ -282,28 +264,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// wedged. Per-member panics never reach the unwind path — `execute`
 /// catches them and delivers [`ServiceError::Internal`] to the affected
 /// member, so group-mates always receive their results.
-struct DispatchGuard<'a, 'svc> {
-    planner: &'a Planner<'svc>,
+struct DispatchGuard<'svc> {
+    planner: Planner<'svc>,
     shard: usize,
 }
 
-impl<'a, 'svc> DispatchGuard<'a, 'svc> {
-    fn enter(planner: &'a Planner<'svc>, shard: usize) -> Self {
-        let now = planner
-            .dispatchers_in_flight
-            .fetch_add(1, Ordering::Relaxed)
-            + 1;
-        planner.dispatchers_peak.fetch_max(now, Ordering::Relaxed);
+impl<'svc> DispatchGuard<'svc> {
+    fn enter(planner: Planner<'svc>, shard: usize) -> Self {
+        let svc = planner.svc;
+        let now = svc.dispatchers_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        svc.dispatchers_peak.fetch_max(now, Ordering::Relaxed);
         DispatchGuard { planner, shard }
     }
 }
 
-impl Drop for DispatchGuard<'_, '_> {
+impl Drop for DispatchGuard<'_> {
     fn drop(&mut self) {
         self.planner
+            .svc
             .dispatchers_in_flight
             .fetch_sub(1, Ordering::Relaxed);
-        let shard = &self.planner.shards[self.shard];
+        let shard = self.planner.lane(self.shard);
         let mut st = lock_state(&shard.state);
         st.dispatching = false;
         drop(st);
@@ -323,31 +304,14 @@ fn lock_state(m: &Mutex<ShardState>) -> std::sync::MutexGuard<'_, ShardState> {
 enum Admit {
     /// Queued; the id's ticket waits normally.
     Admitted(u64),
-    /// Shed, but the submitter still gets a ticket — its result (a
-    /// timed-out `Inconclusive`, or the victim's per-mode resolution)
-    /// is already parked under this id.
+    /// Shed, but the submitter still gets a ticket — its shed
+    /// resolution is already parked under this id.
     ShedResolved(u64),
-    /// Shed under [`ShedMode::Reject`]: the submitter gets the error,
-    /// no ticket exists.
-    ShedRejected(ShedReason),
+    /// Shed into an error: the submitter gets it, no ticket exists.
+    ShedRejected(ServiceError),
     /// Fast path only: no open group for the key — parse the
     /// constraint and retry with the group-creation ingredients.
     NoOpenGroup,
-}
-
-/// The canonical shed resolution: a timed-out `Inconclusive` whose
-/// `elapsed` reports however long the request actually sat in the
-/// queue (zero when shed at submit).
-fn shed_response(queued: Duration) -> QueryResponse {
-    QueryResponse {
-        outcome: Outcome::Inconclusive,
-        stats: SearchStats {
-            timed_out: true,
-            elapsed: queued,
-            ..SearchStats::default()
-        },
-        staleness: None,
-    }
 }
 
 /// Eviction preference among two candidates: lowest [`Priority`]
@@ -373,23 +337,23 @@ fn victim_pos(members: &[Member], incoming: Priority) -> Option<usize> {
 }
 
 impl<'svc> Planner<'svc> {
-    /// The service this planner dispatches into.
-    pub fn service(&self) -> &'svc NetEmbedService {
-        self.svc
+    /// The service's dispatch lane `shard`.
+    fn lane(&self, shard: usize) -> &'svc Shard {
+        &self.svc.shards[shard]
     }
 
-    /// Number of dispatch shards (fixed at planner creation from
-    /// [`NetEmbedService::planner_shards`]).
+    /// Number of dispatch shards ([`NetEmbedService::planner_shards`]).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.svc.shards.len()
     }
 
-    /// The dispatch shard this request's grouping key routes to — the
-    /// same shard every equivalent request lands in. Fails like
-    /// [`Planner::submit`] on an unknown host. Exposed so stress
-    /// harnesses and operators can reason about lane placement.
-    pub fn shard_for(&self, request: &PlannedRequest) -> Result<usize, ServiceError> {
-        let (_, epoch) = self
+    /// The routing step of every submit: snapshot the host's model,
+    /// build the request's grouping key and hash it onto a lane.
+    fn route(
+        &self,
+        request: &PlannedRequest,
+    ) -> Result<(Arc<Network>, FilterKey, usize), ServiceError> {
+        let (model, epoch) = self
             .svc
             .registry()
             .get(&request.host)
@@ -400,19 +364,28 @@ impl<'svc> Planner<'svc> {
             query_hash: crate::cache::network_fingerprint(&request.query),
             constraint: request.constraint.clone(),
         };
-        Ok(shard_index_for(&key, self.shards.len()))
+        let shard = shard_index_for(&key, self.shard_count());
+        Ok((model, key, shard))
+    }
+
+    /// The dispatch shard this request's grouping key routes to — the
+    /// same shard every equivalent request lands in. Fails like
+    /// [`Planner::submit`] on an unknown host. Exposed so stress
+    /// harnesses and operators can reason about lane placement.
+    pub fn shard_for(&self, request: &PlannedRequest) -> Result<usize, ServiceError> {
+        self.route(request).map(|(_, _, shard)| shard)
     }
 
     /// Dispatchers executing a group right now, across all shards.
     pub fn dispatchers_in_flight(&self) -> usize {
-        self.dispatchers_in_flight.load(Ordering::Relaxed)
+        self.svc.dispatchers_in_flight.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of concurrent dispatchers over this planner's
+    /// High-water mark of concurrent dispatchers over the service's
     /// lifetime — `>= 2` is the counter evidence that distinct-key
     /// groups really dispatched simultaneously.
     pub fn peak_concurrent_dispatchers(&self) -> usize {
-        self.dispatchers_peak.load(Ordering::Relaxed)
+        self.svc.dispatchers_peak.load(Ordering::Relaxed)
     }
 
     /// Enqueue a request at [`Priority::Normal`]; returns a [`Ticket`]
@@ -422,11 +395,11 @@ impl<'svc> Planner<'svc> {
     /// group inherits that group's already-validated constraint, which
     /// is textually identical by the grouping key. Under an
     /// [`AdmissionPolicy`](crate::AdmissionPolicy) with bounds, the request may instead be shed
-    /// (module docs): [`ShedMode::Reject`] surfaces
+    /// (module docs): [`ShedMode::Reject`](crate::ShedMode) surfaces
     /// [`ServiceError::Overloaded`] here; a degraded or
     /// deadline-hopeless request still gets a ticket, pre-resolved to a
     /// timed-out `Inconclusive`.
-    pub fn submit(&self, request: &PlannedRequest) -> Result<Ticket<'_, 'svc>, ServiceError> {
+    pub fn submit(&self, request: &PlannedRequest) -> Result<Ticket<'svc>, ServiceError> {
         self.submit_with(request, Priority::Normal)
     }
 
@@ -441,24 +414,13 @@ impl<'svc> Planner<'svc> {
         &self,
         request: &PlannedRequest,
         priority: Priority,
-    ) -> Result<Ticket<'_, 'svc>, ServiceError> {
-        let (model, epoch) = self
-            .svc
-            .registry()
-            .get(&request.host)
-            .ok_or_else(|| ServiceError::UnknownHost(request.host.clone()))?;
-        let key = FilterKey {
-            host: request.host.clone(),
-            epoch,
-            query_hash: crate::cache::network_fingerprint(&request.query),
-            constraint: request.constraint.clone(),
-        };
-        let shard = shard_index_for(&key, self.shards.len());
+    ) -> Result<Ticket<'svc>, ServiceError> {
+        let (model, key, shard) = self.route(request)?;
         let enqueued = Instant::now();
         // Fast path: admit into an existing open group. Only cheap work
         // under the shard lock.
         {
-            let mut st = lock_state(&self.shards[shard].state);
+            let mut st = lock_state(&self.lane(shard).state);
             match self.admit(shard, &mut st, &key, request, priority, enqueued, None) {
                 Admit::NoOpenGroup => {}
                 outcome => {
@@ -475,7 +437,7 @@ impl<'svc> Planner<'svc> {
         // one open group per key exists.
         let expr = Arc::new(crate::parse_and_lint(&request.constraint)?);
         let query = Arc::new(request.query.clone());
-        let mut st = lock_state(&self.shards[shard].state);
+        let mut st = lock_state(&self.lane(shard).state);
         let outcome = self.admit(
             shard,
             &mut st,
@@ -490,33 +452,24 @@ impl<'svc> Planner<'svc> {
     }
 
     /// Turn an [`Admit`] outcome into the caller-facing result, waking
-    /// the shard when state changed (admission, or an eviction that
-    /// parked a result some blocked waiter must pick up).
-    fn resolve_admit(
-        &self,
-        shard: usize,
-        outcome: Admit,
-    ) -> Result<Ticket<'_, 'svc>, ServiceError> {
+    /// the shard (admission, or an eviction that parked a result some
+    /// blocked waiter must pick up).
+    fn resolve_admit(&self, shard: usize, outcome: Admit) -> Result<Ticket<'svc>, ServiceError> {
+        self.lane(shard).wake.notify_all();
         match outcome {
-            Admit::Admitted(id) | Admit::ShedResolved(id) => {
-                self.shards[shard].wake.notify_all();
-                Ok(Ticket {
-                    planner: self,
-                    shard,
-                    id,
-                    finished: false,
-                })
-            }
-            Admit::ShedRejected(reason) => {
-                self.shards[shard].wake.notify_all();
-                Err(ServiceError::Overloaded(reason))
-            }
+            Admit::Admitted(id) | Admit::ShedResolved(id) => Ok(Ticket {
+                planner: *self,
+                shard,
+                id,
+                finished: false,
+            }),
+            Admit::ShedRejected(err) => Err(err),
             Admit::NoOpenGroup => unreachable!("resolved before group creation"),
         }
     }
 
     fn alloc_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
+        self.svc.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Admission decision for one request, under its shard's lock. With
@@ -555,22 +508,18 @@ impl<'svc> Planner<'svc> {
             return self.shed_incoming(shard, st, ShedReason::StaleModel);
         }
         let policy = self.svc.config().admission;
-        let overload = self.svc.overload_shard(shard);
+        let overload = &self.lane(shard).overload;
         // Deadline hygiene: if the estimated queue wait (this shard's
         // EWMA of group dispatch times × groups ahead of us in the
         // shard) already exceeds the request's whole budget, it would
-        // die in the queue — answer it now. Regardless of shed mode
-        // this resolves as a timed-out `Inconclusive` (it *is* a
-        // timeout, just predicted instead of waited out). A fresh shard
-        // has no EWMA evidence and never sheds here.
+        // die in the queue — answer it now. The shed rule resolves this
+        // as a timed-out `Inconclusive` under every shed mode (it *is*
+        // a timeout, just predicted instead of waited out). A fresh
+        // shard has no EWMA evidence and never sheds here.
         if let Some(budget) = request.options.timeout {
             let est = overload.estimated_queue_wait(st.groups.len());
             if !est.is_zero() && est > budget {
-                overload.record_submitted();
-                overload.record_shed(ShedReason::DeadlineHopeless);
-                let id = self.alloc_id();
-                st.results.insert(id, Ok(shed_response(Duration::ZERO)));
-                return Admit::ShedResolved(id);
+                return self.shed_incoming(shard, st, ShedReason::DeadlineHopeless);
             }
         }
         // Service-wide cap across all shards. Always sheds the incoming
@@ -629,7 +578,7 @@ impl<'svc> Planner<'svc> {
             Some(idx) => st.groups[idx].members.push(member),
             None => {
                 let (model, query, expr) = create.expect("checked at entry");
-                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+                let seq = self.svc.next_seq.fetch_add(1, Ordering::Relaxed);
                 st.groups.push_back(PendingGroup {
                     key: key.clone(),
                     model,
@@ -644,17 +593,17 @@ impl<'svc> Planner<'svc> {
     }
 
     /// Shed the incoming (not-yet-queued) request: count it on its
-    /// shard's ledger and resolve it per the shed mode — an error for
-    /// the submitter, or a parked pre-resolved ticket.
+    /// shard's ledger and resolve it through the service's shed rule —
+    /// an error for the submitter, or a parked pre-resolved ticket.
     fn shed_incoming(&self, shard: usize, st: &mut ShardState, reason: ShedReason) -> Admit {
-        let overload = self.svc.overload_shard(shard);
+        let overload = &self.lane(shard).overload;
         overload.record_submitted();
         overload.record_shed(reason);
-        match self.svc.config().admission.shed {
-            ShedMode::Reject => Admit::ShedRejected(reason),
-            ShedMode::DegradeInconclusive => {
+        match self.svc.shed(reason, Duration::ZERO) {
+            Err(err) => Admit::ShedRejected(err),
+            Ok(response) => {
                 let id = self.alloc_id();
-                st.results.insert(id, Ok(shed_response(Duration::ZERO)));
+                st.results.insert(id, Ok(response));
                 Admit::ShedResolved(id)
             }
         }
@@ -668,11 +617,8 @@ impl<'svc> Planner<'svc> {
     ///
     /// [`record_evicted`]: crate::admission::OverloadStats::record_evicted
     fn shed_victim(&self, shard: usize, st: &mut ShardState, victim: Member, reason: ShedReason) {
-        self.svc.overload_shard(shard).record_evicted(reason);
-        let response = match self.svc.config().admission.shed {
-            ShedMode::Reject => Err(ServiceError::Overloaded(reason)),
-            ShedMode::DegradeInconclusive => Ok(shed_response(victim.enqueued.elapsed())),
-        };
+        self.lane(shard).overload.record_evicted(reason);
+        let response = self.svc.shed(reason, victim.enqueued.elapsed());
         st.results.insert(victim.id, response);
     }
 
@@ -694,19 +640,22 @@ impl<'svc> Planner<'svc> {
     /// (across all shards; a burst-split remainder counts as its own
     /// group when its turn comes).
     pub fn groups_dispatched(&self) -> u64 {
-        self.groups_dispatched.load(Ordering::Relaxed)
+        self.svc.groups_dispatched.load(Ordering::Relaxed)
     }
 
     /// Requests that rode a group-mate's pinned filter instead of
-    /// touching the shared cache (the planner-level sum of the
+    /// touching the shared cache (the service-wide sum of the
     /// per-response [`SearchStats::coalesced_requests`] counters).
+    ///
+    /// [`SearchStats::coalesced_requests`]: netembed::SearchStats
     pub fn coalesced_total(&self) -> u64 {
-        self.coalesced_total.load(Ordering::Relaxed)
+        self.svc.coalesced_total.load(Ordering::Relaxed)
     }
 
     /// Members currently enqueued (across all shards and open groups).
     pub fn pending_requests(&self) -> usize {
-        self.shards
+        self.svc
+            .shards
             .iter()
             .map(|s| {
                 lock_state(&s.state)
@@ -721,7 +670,8 @@ impl<'svc> Planner<'svc> {
     /// Open groups awaiting dispatch, across all shards (cancellation
     /// can leave a group empty; it is skipped, cheaply, when popped).
     pub fn pending_groups(&self) -> usize {
-        self.shards
+        self.svc
+            .shards
             .iter()
             .map(|s| lock_state(&s.state).groups.len())
             .sum()
@@ -731,7 +681,8 @@ impl<'svc> Planner<'svc> {
     /// Settles to zero once every live ticket has waited — cancelled
     /// tickets' results are discarded at delivery, not parked.
     pub fn undelivered_results(&self) -> usize {
-        self.shards
+        self.svc
+            .shards
             .iter()
             .map(|s| lock_state(&s.state).results.len())
             .sum()
@@ -742,7 +693,8 @@ impl<'svc> Planner<'svc> {
     /// ticket).
     #[cfg(test)]
     fn cancel_marks(&self) -> usize {
-        self.shards
+        self.svc
+            .shards
             .iter()
             .map(|s| lock_state(&s.state).cancelled.len())
             .sum()
@@ -751,20 +703,19 @@ impl<'svc> Planner<'svc> {
     /// True if `id` was cancelled while its group was being dispatched;
     /// consumes the mark.
     fn take_cancelled(&self, shard: usize, id: u64) -> bool {
-        lock_state(&self.shards[shard].state).cancelled.remove(&id)
+        lock_state(&self.lane(shard).state).cancelled.remove(&id)
     }
 
     /// Non-consuming peek at the cancel mark — the dispatcher's cancel
     /// probe polls this from inside dedup waits; `deliver` still
     /// consumes the mark afterwards.
     fn is_cancelled(&self, shard: usize, id: u64) -> bool {
-        lock_state(&self.shards[shard].state)
-            .cancelled
-            .contains(&id)
+        lock_state(&self.lane(shard).state).cancelled.contains(&id)
     }
 
     fn deliver(&self, shard: usize, id: u64, response: Result<QueryResponse, ServiceError>) {
-        let mut st = lock_state(&self.shards[shard].state);
+        let lane = self.lane(shard);
+        let mut st = lock_state(&lane.state);
         if st.cancelled.remove(&id) {
             // The waiter is gone: discard instead of parking a result
             // nobody will claim. No gauge release — the cancelling drop
@@ -774,10 +725,10 @@ impl<'svc> Planner<'svc> {
         // The admitted member resolves here: its queue-depth slot
         // frees. (Pre-resolved shed tickets never pass through deliver
         // — they are parked directly at admission.)
-        self.svc.overload_shard(shard).release_slot();
+        lane.overload.release_slot();
         st.results.insert(id, response);
         drop(st);
-        self.shards[shard].wake.notify_all();
+        lane.wake.notify_all();
     }
 
     /// Execute one group end to end: compile once, lease one scratch,
@@ -798,7 +749,8 @@ impl<'svc> Planner<'svc> {
         if members.is_empty() {
             return; // fully-cancelled group: nothing to do
         }
-        self.groups_dispatched.fetch_add(1, Ordering::Relaxed);
+        self.svc.groups_dispatched.fetch_add(1, Ordering::Relaxed);
+        let overload = &self.lane(shard).overload;
         // Whole-group wall time feeds this shard's EWMA, which powers
         // its deadline-hopeless admission (queue wait ≈ groups × EWMA).
         let dispatch_started = Instant::now();
@@ -824,32 +776,21 @@ impl<'svc> Planner<'svc> {
         // `PreparedQuery` batch uses): one epoch repair, credited to the
         // first member served, and one pin — the first member to obtain
         // a filter fixes the exact `Arc` every later member reuses.
-        let mut stage = crate::prepared::Acquire::service(self.svc, key, &problem);
+        let mut stage = Acquire::service(self.svc, key, &problem);
         for member in &members {
             if self.take_cancelled(shard, member.id) {
                 continue;
             }
             let queued = member.enqueued.elapsed();
-            self.svc.overload_shard(shard).queue_wait.record(queued);
+            overload.queue_wait.record(queued);
             let run_options = match member.options.timeout {
                 Some(budget) => {
                     let remaining = budget.saturating_sub(queued);
                     if remaining.is_zero() {
                         // Deadline died in the queue: a timed-out
                         // member, not a poisoned group.
-                        self.deliver(
-                            shard,
-                            member.id,
-                            Ok(QueryResponse {
-                                outcome: Outcome::Inconclusive,
-                                stats: SearchStats {
-                                    timed_out: true,
-                                    elapsed: queued,
-                                    ..SearchStats::default()
-                                },
-                                staleness: None,
-                            }),
-                        );
+                        let expired = QueryResponse::served(timed_out(queued), None);
+                        self.deliver(shard, member.id, Ok(expired));
                         continue;
                     }
                     Options {
@@ -890,34 +831,21 @@ impl<'svc> Planner<'svc> {
                             // mutually exclusive.
                             result.stats.filter_cache_hits -= 1;
                             result.stats.coalesced_requests += 1;
-                            self.coalesced_total.fetch_add(1, Ordering::Relaxed);
+                            self.svc.coalesced_total.fetch_add(1, Ordering::Relaxed);
                         }
-                        result.stats.staleness_lag = staleness.map_or(0, |s| s.lag);
-                        QueryResponse {
-                            outcome: result.outcome,
-                            stats: result.stats,
-                            staleness,
-                        }
+                        QueryResponse::served(result, staleness)
                     })
             }));
-            self.svc
-                .overload_shard(shard)
-                .dispatch
-                .record(run_started.elapsed());
+            overload.dispatch.record(run_started.elapsed());
             let response = match attempt {
                 Ok(Err(ServiceError::Overloaded(reason))) => {
                     // Shed mid-dispatch (the dedup waiter cap): this
                     // member was admitted, so its `accepted` credit
                     // moves to the shed column — the queue-depth slot
                     // itself is released by `deliver` as usual. Then
-                    // resolve per mode, like any other shed.
-                    self.svc.overload_shard(shard).record_shed_admitted(reason);
-                    match self.svc.config().admission.shed {
-                        ShedMode::Reject => Err(ServiceError::Overloaded(reason)),
-                        ShedMode::DegradeInconclusive => {
-                            Ok(shed_response(member.enqueued.elapsed()))
-                        }
-                    }
+                    // resolve through the shed rule, like any other shed.
+                    overload.record_shed_admitted(reason);
+                    self.svc.shed(reason, member.enqueued.elapsed())
                 }
                 Ok(response) => response,
                 Err(payload) => {
@@ -928,40 +856,23 @@ impl<'svc> Planner<'svc> {
             self.deliver(shard, member.id, response);
         }
         self.svc.checkin_scratch(scratch);
-        self.svc
-            .overload_shard(shard)
-            .observe_dispatch(dispatch_started.elapsed());
+        overload.observe_dispatch(dispatch_started.elapsed());
     }
 }
 
 impl std::fmt::Debug for Planner<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let per_shard: Vec<(usize, usize, bool)> = self
+        let dispatching = self
+            .svc
             .shards
             .iter()
-            .map(|s| {
-                let st = lock_state(&s.state);
-                (
-                    st.groups.len(),
-                    st.groups.iter().map(|g| g.members.len()).sum::<usize>(),
-                    st.dispatching,
-                )
-            })
-            .collect();
+            .filter(|s| lock_state(&s.state).dispatching)
+            .count();
         f.debug_struct("Planner")
-            .field("shards", &per_shard.len())
-            .field(
-                "pending_groups",
-                &per_shard.iter().map(|(g, _, _)| g).sum::<usize>(),
-            )
-            .field(
-                "pending_requests",
-                &per_shard.iter().map(|(_, m, _)| m).sum::<usize>(),
-            )
-            .field(
-                "dispatching_shards",
-                &per_shard.iter().filter(|(_, _, d)| *d).count(),
-            )
+            .field("shards", &self.shard_count())
+            .field("pending_groups", &self.pending_groups())
+            .field("pending_requests", &self.pending_requests())
+            .field("dispatching_shards", &dispatching)
             .field("groups_dispatched", &self.groups_dispatched())
             .field("coalesced_total", &self.coalesced_total())
             .finish()
@@ -975,19 +886,19 @@ impl std::fmt::Debug for Planner<'_> {
 /// which is what lets distinct shards' waiters run groups concurrently.
 /// Dropping a ticket without waiting cancels the request.
 #[must_use = "an unwaited ticket cancels its request when dropped"]
-pub struct Ticket<'p, 'svc> {
-    planner: &'p Planner<'svc>,
+pub struct Ticket<'svc> {
+    planner: Planner<'svc>,
     shard: usize,
     id: u64,
     finished: bool,
 }
 
-impl Ticket<'_, '_> {
+impl Ticket<'_> {
     /// Block until this request's result is available, dispatching
     /// pending groups of this request's shard (own and others')
     /// whenever no other waiter is.
     pub fn wait(mut self) -> Result<QueryResponse, ServiceError> {
-        let shard = &self.planner.shards[self.shard];
+        let shard = self.planner.lane(self.shard);
         loop {
             let group = {
                 let mut st = lock_state(&shard.state);
@@ -1011,10 +922,11 @@ impl Ticket<'_, '_> {
                             // sequence number) *behind* every group
                             // already waiting, so a hot key yields the
                             // lane after each burst.
-                            let burst = self.planner.svc.config().admission.max_dispatch_burst;
+                            let svc = self.planner.svc;
+                            let burst = svc.config().admission.max_dispatch_burst;
                             if group.members.len() > burst {
                                 let rest = group.members.split_off(burst);
-                                let seq = self.planner.next_seq.fetch_add(1, Ordering::Relaxed);
+                                let seq = svc.next_seq.fetch_add(1, Ordering::Relaxed);
                                 st.groups.push_back(PendingGroup {
                                     key: group.key.clone(),
                                     model: Arc::clone(&group.model),
@@ -1046,19 +958,20 @@ impl Ticket<'_, '_> {
     }
 }
 
-impl Drop for Ticket<'_, '_> {
+impl Drop for Ticket<'_> {
     fn drop(&mut self) {
         if self.finished {
             return;
         }
-        let mut st = lock_state(&self.planner.shards[self.shard].state);
+        let lane = self.planner.lane(self.shard);
+        let mut st = lock_state(&lane.state);
         // Still queued? Unlink the member outright — the queue slot is
         // reclaimed immediately (gauge included, on this shard's
         // ledger) and no mark is needed.
         for group in st.groups.iter_mut() {
             if let Some(pos) = group.members.iter().position(|m| m.id == self.id) {
                 group.members.remove(pos);
-                self.planner.svc.overload_shard(self.shard).release_slot();
+                lane.overload.release_slot();
                 return;
             }
         }
@@ -1076,11 +989,11 @@ impl Drop for Ticket<'_, '_> {
         // `take_cancelled` consume the mark and skip their own release,
         // so the slot can never be freed twice.
         st.cancelled.insert(self.id);
-        self.planner.svc.overload_shard(self.shard).release_slot();
+        lane.overload.release_slot();
     }
 }
 
-impl std::fmt::Debug for Ticket<'_, '_> {
+impl std::fmt::Debug for Ticket<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
             .field("id", &self.id)
@@ -1093,8 +1006,8 @@ impl std::fmt::Debug for Ticket<'_, '_> {
 mod tests {
     use super::*;
     use crate::{ConstraintFault, ServiceConfig};
+    use netembed::{Outcome, SearchStats};
     use netgraph::Direction;
-    use std::time::Duration;
 
     fn triangle_host() -> Network {
         let mut h = Network::new(Direction::Undirected);

@@ -28,7 +28,7 @@
 //! ([`crate::planner`]) or per start ([`crate::schedule`]): it runs the
 //! epoch repair, owns the pin, and stamps the repair bits.
 
-use crate::admission::{ShedMode, ShedReason};
+use crate::admission::ShedReason;
 use crate::cache::{Fetch, FilterCache, FilterFetch, FilterKey, HierarchyKey, PatchDecision};
 use crate::{NetEmbedService, QueryResponse, ServiceError};
 use cexpr::Expr;
@@ -38,6 +38,7 @@ use netembed::{
 };
 use netgraph::{Network, NodeId};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A compiled, cache-connected `(host, query, constraint)` request.
 /// Created by [`NetEmbedService::prepare`]; run any number of times
@@ -105,19 +106,18 @@ impl<'svc> PreparedQuery<'svc> {
 
     /// Run once under `options` against the current model snapshot.
     pub fn run(&mut self, options: &Options) -> Result<QueryResponse, ServiceError> {
-        let mut out = self.run_many(std::slice::from_ref(options))?;
+        let mut out = self.run_batch(std::slice::from_ref(options))?;
         Ok(out.pop().expect("one response per run"))
     }
 
     /// Run a whole batch against **one** model snapshot: every run sees
     /// the same epoch (a concurrent registry update affects the next
     /// batch, not a run in the middle of this one), so one filter build
-    /// — or one cache hit — serves every filter-based run.
+    /// — or one cache hit — serves every filter-based run. The build is
+    /// charged to the run that triggered it; a build its run's deadline
+    /// cuts short is discarded, never cached, and the next
+    /// filter-needing run retries under its own budget.
     pub fn run_batch(&mut self, runs: &[Options]) -> Result<Vec<QueryResponse>, ServiceError> {
-        self.run_many(runs)
-    }
-
-    fn run_many(&mut self, runs: &[Options]) -> Result<Vec<QueryResponse>, ServiceError> {
         let (host, epoch) = self
             .svc
             .registry()
@@ -125,28 +125,11 @@ impl<'svc> PreparedQuery<'svc> {
             .ok_or_else(|| ServiceError::UnknownHost(self.host.clone()))?;
         // Staleness gate (crate docs, "Staleness and degradation"): the
         // direct path has no admission queue, so the gate is the whole
-        // check — shed per the service's mode, exactly like a planner
-        // submit would.
+        // check — shed through the service's one shed rule, exactly
+        // like a planner submit would.
         if self.svc.stale_shed() {
-            match self.svc.config().admission.shed {
-                ShedMode::Reject => {
-                    return Err(ServiceError::Overloaded(ShedReason::StaleModel));
-                }
-                ShedMode::DegradeInconclusive => {
-                    let staleness = self.svc.current_staleness(epoch);
-                    return Ok(runs
-                        .iter()
-                        .map(|_| {
-                            let shed = shed_inconclusive();
-                            QueryResponse {
-                                outcome: shed.outcome,
-                                stats: shed.stats,
-                                staleness,
-                            }
-                        })
-                        .collect());
-                }
-            }
+            let shed = self.svc.shed(ShedReason::StaleModel, Duration::ZERO)?;
+            return Ok(vec![shed; runs.len()]);
         }
         let problem = Problem::from_parsed(&self.query, &host, &self.expr)?;
         let key = FilterKey {
@@ -162,26 +145,14 @@ impl<'svc> PreparedQuery<'svc> {
         let scratch = self.scratch.as_mut().expect("scratch leased until drop");
         let mut responses = Vec::with_capacity(runs.len());
         for options in runs {
-            let result = match stage.run(&problem, options, scratch, None) {
-                // Direct-path dedup shedding resolves per the service's
-                // shed mode: degrade to a fast timed-out Inconclusive,
-                // or surface the deterministic Overloaded error.
-                Err(ServiceError::Overloaded(_))
-                    if self.svc.config().admission.shed == ShedMode::DegradeInconclusive =>
-                {
-                    shed_inconclusive()
-                }
-                other => other?,
-            };
-            // Stamp serve-time staleness: the epoch this batch is bound
-            // to may be lagging a degraded feed.
-            let staleness = self.svc.current_staleness(epoch);
-            let mut stats = result.stats;
-            stats.staleness_lag = staleness.map_or(0, |s| s.lag);
-            responses.push(QueryResponse {
-                outcome: result.outcome,
-                stats,
-                staleness,
+            responses.push(match stage.run(&problem, options, scratch, None) {
+                // Stamp serve-time staleness: the epoch this batch is
+                // bound to may be lagging a degraded feed.
+                Ok(result) => QueryResponse::served(result, self.svc.current_staleness(epoch)),
+                // Direct-path dedup shedding resolves through the same
+                // shed rule as every other shed.
+                Err(ServiceError::Overloaded(reason)) => self.svc.shed(reason, Duration::ZERO)?,
+                Err(e) => return Err(e),
             });
         }
         Ok(responses)
@@ -339,7 +310,7 @@ impl<'a> Acquire<'a> {
     ///
     /// Overload/cancellation hooks: a dedup wait that hits the cache's
     /// waiter cap returns [`ServiceError::Overloaded`] (the *caller*
-    /// maps it per the service's [`ShedMode`]); `cancel` is the planner
+    /// resolves it through the service's shed rule); `cancel` is the planner
     /// dispatcher's probe for "the requester dropped its ticket", which
     /// aborts dedup waits with a discarded Inconclusive. The service's
     /// fault injector may force a designated build to abandon (chaos
@@ -372,7 +343,7 @@ impl<'a> Acquire<'a> {
                     };
                     match fetch_hierarchy(svc, &hkey, problem.host, cancel) {
                         Some(fetched) => fetched,
-                        None => return Ok(shed_inconclusive()),
+                        None => return Ok(timed_out(Duration::ZERO)),
                     }
                 }
                 None => (
@@ -424,14 +395,12 @@ impl<'a> Acquire<'a> {
                 // the cache's counter, it only marks waits that actually
                 // delivered a filter.
                 charge.finish_build(scratch.parallel.pool().spawned_total());
-                let mut result = shed_inconclusive();
-                result.stats.elapsed = charge.spent();
-                Ok(result)
+                Ok(timed_out(charge.spent()))
             }
             FilterFetch::Overloaded => Err(ServiceError::Overloaded(ShedReason::DedupWaitersFull)),
             // The requester dropped its ticket while this thread waited
             // on its behalf; the result is discarded at delivery.
-            FilterFetch::Cancelled => Ok(shed_inconclusive()),
+            FilterFetch::Cancelled => Ok(timed_out(Duration::ZERO)),
             FilterFetch::MustBuild(ticket) => {
                 // Chaos injection: abandon this build as if its deadline
                 // had truncated it — waiters wake and one takes over;
@@ -439,9 +408,7 @@ impl<'a> Acquire<'a> {
                 if self.svc.is_some_and(|s| s.faults().should_truncate_build()) {
                     ticket.abandon();
                     charge.finish_build(scratch.parallel.pool().spawned_total());
-                    let mut result = shed_inconclusive();
-                    result.stats.elapsed = charge.spent();
-                    return Ok(result);
+                    return Ok(timed_out(charge.spent()));
                 }
                 // A takeover builder (its predecessor's build was
                 // abandoned mid-wait) has already burned part of its
@@ -518,15 +485,18 @@ pub(crate) fn fetch_hierarchy(
     }
 }
 
-/// The canonical shed/cancel result: a fast timed-out `Inconclusive`
-/// with zero search work — observably the outcome admission predicted
-/// (the request's budget would have died waiting anyway).
-pub(crate) fn shed_inconclusive() -> EmbedResult {
+/// The one timed-out `Inconclusive` constructor, for every shed,
+/// cancel and budget-exhausted result: zero search work, with `elapsed`
+/// reporting the time the request spent waiting — observably the
+/// outcome admission predicted (the request's budget would have died
+/// waiting anyway).
+pub(crate) fn timed_out(elapsed: Duration) -> EmbedResult {
     EmbedResult {
         mappings: Vec::new(),
         outcome: Outcome::Inconclusive,
         stats: SearchStats {
             timed_out: true,
+            elapsed,
             ..SearchStats::default()
         },
     }

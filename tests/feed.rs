@@ -16,8 +16,9 @@
 use netgraph::{AttrValue, Direction, Network, NodeId};
 use service::cache::network_fingerprint;
 use service::{
-    DeltaMutation, DirtySet, FeedConfig, FeedSnapshot, FeedState, NetEmbedService, QueryRequest,
-    RegistryDelta, RegistryFeed, ServiceConfig, ServiceError, ShedReason, StalenessPolicy,
+    AdmissionPolicy, DeltaMutation, DirtySet, FeedConfig, FeedSnapshot, FeedState, NetEmbedService,
+    QueryRequest, QueryResponse, RegistryDelta, RegistryFeed, ServiceConfig, ServiceError,
+    ShedMode, ShedReason, StalenessPolicy,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -300,6 +301,59 @@ fn serve_stale_marks_within_the_lag_budget_and_sheds_past_it() {
     let feed_tl = svc.telemetry().feed;
     assert_eq!(feed_tl.applied, 9);
     assert!(feed_tl.balanced(), "ledger unbalanced: {feed_tl:?}");
+}
+
+/// Under `DegradeInconclusive`, a `StaleModel` shed answers the same on
+/// both serving paths: a timed-out `Inconclusive` computed against no
+/// model, so it carries no staleness marker. Every served response
+/// mirrors its marker's lag into `stats.staleness_lag`.
+#[test]
+fn degraded_stale_sheds_match_across_paths_and_carry_no_marker() {
+    let svc = NetEmbedService::with_config(
+        ServiceConfig::default()
+            .staleness(StalenessPolicy::ServeStale { max_lag: 5 })
+            .admission(AdmissionPolicy::default().shed(ShedMode::DegradeInconclusive)),
+    );
+    svc.registry().register("h", path_host());
+    let req = request("h");
+    let mirrored = |resp: &QueryResponse| {
+        assert_eq!(
+            resp.stats.staleness_lag,
+            resp.staleness.map_or(0, |s| s.lag),
+            "staleness marker not mirrored into stats: {resp:?}"
+        );
+    };
+    mirrored(&svc.submit(&req).unwrap());
+
+    // Lag 3 ≤ 5: both paths serve, marked.
+    let mut stream: VecDeque<RegistryDelta> = VecDeque::new();
+    stream.push_back(cpu_delta(2, 0, 4.0));
+    let config = FeedConfig {
+        gap_patience: u32::MAX,
+        ..FeedConfig::default()
+    };
+    let mut feed = RegistryFeed::new(stream, || -> Option<FeedSnapshot> { None }, config);
+    assert_eq!(feed.pump(&svc), FeedState::CatchingUp);
+    for served in [svc.submit(&req).unwrap(), svc.planner().run(&req).unwrap()] {
+        assert_eq!(served.staleness.map(|s| s.lag), Some(3));
+        mirrored(&served);
+    }
+
+    // Lag 9 > 5: both paths shed, degraded, with equal responses.
+    feed.stream().push_back(cpu_delta(8, 0, 5.0));
+    assert_eq!(feed.pump(&svc), FeedState::CatchingUp);
+    assert_eq!(svc.feed_status().lag(), 9);
+    let direct = svc.submit(&req).unwrap();
+    let planned = svc.planner().run(&req).unwrap();
+    for shed in [&direct, &planned] {
+        assert!(matches!(shed.outcome, netembed::Outcome::Inconclusive));
+        assert!(shed.stats.timed_out);
+        assert_eq!(shed.staleness, None, "a shed answer has no serving model");
+        mirrored(shed);
+    }
+    assert_eq!(direct.outcome, planned.outcome);
+    assert_eq!(direct.stats, planned.stats);
+    assert_eq!(svc.telemetry().shed.stale_model, 1, "the planner shed");
 }
 
 /// `Block`: any degradation sheds immediately — no stale answers at

@@ -19,7 +19,10 @@ use netembed::{Algorithm, Options, Outcome, SearchMode};
 use netgraph::{Direction, Network};
 use proptest::prelude::*;
 use service::cache::{network_fingerprint, FilterFetch, FilterKey};
-use service::{AdmissionPolicy, NetEmbedService, PlannedRequest, QueryResponse, ServiceConfig};
+use service::{
+    AdmissionPolicy, NetEmbedService, PlannedRequest, QueryResponse, ServiceConfig, ServiceError,
+    ShedMode, ShedReason,
+};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -304,6 +307,69 @@ fn stress_mixed_keys(shards: usize) {
     for shard in &t.shards {
         assert_eq!(shard.accepted + shard.shed.total(), shard.submitted);
         assert_eq!(shard.queue_depth, 0);
+    }
+}
+
+/// The lanes belong to the service, not to a planner handle: a
+/// per-shard queue bound counts every queued request, whichever handle
+/// queued it. Nothing dispatches until someone waits, so no threads are
+/// needed.
+#[test]
+fn handles_of_one_service_share_its_queue_bound() {
+    let svc = NetEmbedService::with_config(
+        ServiceConfig::default().planner_shards(1).admission(
+            AdmissionPolicy::default()
+                .max_queue_depth(1)
+                .shed(ShedMode::Reject),
+        ),
+    );
+    svc.registry().register("plab", ring_host(1.0));
+    let (a, b) = (svc.planner(), svc.planner());
+    let request = |constraint: &str| PlannedRequest {
+        host: "plab".into(),
+        query: edge_query(),
+        constraint: constraint.into(),
+        options: Options::default(),
+    };
+    let queued = a.submit(&request("rEdge.avgDelay <= 20.0")).unwrap();
+    assert!(
+        matches!(
+            b.submit(&request("true")),
+            Err(ServiceError::Overloaded(ShedReason::QueueFull))
+        ),
+        "handle B must see handle A's queued request"
+    );
+    assert_eq!(svc.telemetry().queue_depth, 1);
+    assert!(!queued.wait().unwrap().mappings().is_empty());
+    let t = svc.telemetry();
+    assert_eq!((t.submitted, t.accepted, t.shed.queue_full), (2, 1, 1));
+    assert_eq!(t.queue_depth, 0);
+}
+
+/// Equivalent requests submitted through different handles join one
+/// group: one dispatch, one filter build, and every other member rides
+/// the group pin instead of touching the cache.
+#[test]
+fn equivalent_requests_coalesce_across_handles() {
+    let host = ring_host(1.0);
+    let svc = NetEmbedService::new();
+    svc.registry().register("plab", host.clone());
+    let req = PlannedRequest {
+        host: "plab".into(),
+        query: edge_query(),
+        constraint: "rEdge.avgDelay <= 20.0".into(),
+        options: Options::default(),
+    };
+    let expected = isolated_submit(&[("plab", host)], &req);
+    let handles = [svc.planner(), svc.planner(), svc.planner()];
+    let tickets: Vec<_> = handles.iter().map(|p| p.submit(&req).unwrap()).collect();
+    let responses: Vec<QueryResponse> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+    assert_eq!(handles[0].groups_dispatched(), 1);
+    let coalesced: u64 = responses.iter().map(|r| r.stats.coalesced_requests).sum();
+    let hits: u64 = responses.iter().map(|r| r.stats.filter_cache_hits).sum();
+    assert_eq!((coalesced, hits), (2, 0));
+    for resp in &responses {
+        assert_eq!(resp.mappings(), expected.mappings());
     }
 }
 
