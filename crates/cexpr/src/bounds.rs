@@ -261,35 +261,28 @@ impl BoundsMap {
 
     /// Absorb a summary over a disjoint member set: attributes present
     /// on one side only gain the other side's missing possibility.
+    /// Merges in place; only an attribute new to `self` allocates.
     pub fn merge_from(&mut self, other: &BoundsMap) {
-        let mut merged = Vec::with_capacity(self.entries.len().max(other.entries.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() || j < other.entries.len() {
-            let take_self = j >= other.entries.len()
-                || (i < self.entries.len() && self.entries[i].0 <= other.entries[j].0);
-            let take_other = i >= self.entries.len()
-                || (j < other.entries.len() && other.entries[j].0 <= self.entries[i].0);
-            if take_self && take_other {
-                let mut b = self.entries[i].1.clone();
-                b.merge(&other.entries[j].1);
-                merged.push((self.entries[i].0, b));
+        let mut i = 0;
+        for (id, theirs) in &other.entries {
+            // Present here, absent from `other`'s members.
+            while i < self.entries.len() && self.entries[i].0 < *id {
+                self.entries[i].1.add_missing();
                 i += 1;
-                j += 1;
-            } else if take_self {
-                // Present here, absent from `other`'s members.
-                let mut b = self.entries[i].1.clone();
-                b.add_missing();
-                merged.push((self.entries[i].0, b));
-                i += 1;
+            }
+            if i < self.entries.len() && self.entries[i].0 == *id {
+                self.entries[i].1.merge(theirs);
             } else {
                 // Present in `other`, absent from our members.
-                let mut b = other.entries[j].1.clone();
+                let mut b = theirs.clone();
                 b.add_missing();
-                merged.push((other.entries[j].0, b));
-                j += 1;
+                self.entries.insert(i, (*id, b));
             }
+            i += 1;
         }
-        self.entries = merged;
+        for (_, ours) in &mut self.entries[i..] {
+            ours.add_missing();
+        }
     }
 }
 

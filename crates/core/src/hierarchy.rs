@@ -22,8 +22,39 @@
 //! ([`FilterMatrix::build_restricted`](crate::FilterMatrix)), so the
 //! exhaustive search touches a small fraction of the full
 //! `O(|VQ|·|VR|)` matrix on large substrates.
+//!
+//! ## Repair
+//!
+//! [`SubstrateHierarchy::patch`] carries a hierarchy across a model
+//! change without re-coarsening. The greedy matching reads topology
+//! only, never attributes, and [`BoundsMap::merge_from`] is a lattice
+//! join (min/max, OR-ed flags, bounded string-set union), so as long
+//! as the grouping holds, re-aggregating a super-node from its
+//! children reproduces a fresh build exactly. Two preconditions make
+//! the grouping hold:
+//!
+//! * **Topology.** The node count and every dirty node's `neighbors`
+//!   and `in_neighbors` id lists are unchanged. The hierarchy keeps
+//!   the host arc lists it coarsened from and checks this; if it
+//!   fails, `patch` returns `None` and the caller rebuilds.
+//! * **Dirty set.** The dirty nodes cover every change: each mutated
+//!   node, and both endpoints of each mutated edge (the service's
+//!   `DirtySet` contract). Under it, an edge between two clean nodes
+//!   kept its attributes and its existence, which `patch` cannot
+//!   check.
+//!
+//! A patch re-aggregates bottom-up: the parents of the dirty nodes,
+//! then their parents, and so on, along with the super-arcs that
+//! aggregate a changed arc. It stops at the first level where every
+//! recomputed bound equals the stored one. Each level is an
+//! `Arc`-shared attribute-free shape plus bounds held in `Arc`-shared
+//! chunks, so the patched hierarchy copies pointers and only the
+//! chunks it writes; it shares the rest with the hierarchy it came
+//! from.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::ops::Index;
+use std::sync::Arc;
 
 use cexpr::{AbsEdgeCtx, AbsNodeCtx, BoundsMap, Verdict};
 use netgraph::{Network, NodeBitSet, NodeId};
@@ -51,31 +82,67 @@ impl Default for HierarchySpec {
     }
 }
 
-/// One coarsening level. `child` indices point into the next finer
-/// layer; at level 0 they are host node indices.
-struct Level {
+/// Entries per `Arc`-shared chunk of a level's bounds.
+const CHUNK: usize = 64;
+
+/// A vector stored as `Arc`-shared fixed-size chunks: a clone copies
+/// chunk pointers, and a write copies only the chunk it lands in. A
+/// patched hierarchy shares every chunk it did not write with the
+/// hierarchy it was patched from.
+#[derive(Clone, PartialEq)]
+struct Chunked<T> {
+    chunks: Vec<Arc<Vec<T>>>,
+}
+
+impl<T: Clone> Chunked<T> {
+    fn new(items: Vec<T>) -> Self {
+        let mut chunks = Vec::with_capacity(items.len().div_ceil(CHUNK));
+        let mut items = items.into_iter();
+        loop {
+            let chunk: Vec<T> = items.by_ref().take(CHUNK).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            chunks.push(Arc::new(chunk));
+        }
+        Chunked { chunks }
+    }
+
+    fn set(&mut self, i: usize, value: T) {
+        Arc::make_mut(&mut self.chunks[i / CHUNK])[i % CHUNK] = value;
+    }
+}
+
+impl<T> Index<usize> for Chunked<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+/// The attribute-free shape of one level: everything the matching,
+/// the degree gate and the arc walks read. `child` indices point into
+/// the next finer layer; at level 0 they are host node indices. A
+/// repair never changes a shape, so patched hierarchies share it.
+#[derive(PartialEq, Eq)]
+struct Shape {
     /// Number of super-nodes.
     n: usize,
     /// CSR offsets into `child`.
     child_off: Vec<u32>,
     /// Member indices in the next finer layer (host ids at level 0).
     child: Vec<u32>,
-    /// Host leaves under each super-node.
-    leaf_count: Vec<u32>,
+    /// Super-node of each member of the next finer layer: `child`
+    /// inverted.
+    parent: Vec<u32>,
     /// Max out-degree (host `neighbors`) over member host nodes.
     max_out: Vec<u32>,
     /// Max in-degree (host `in_neighbors`) over member host nodes.
     max_in: Vec<u32>,
-    /// Aggregated node-attribute bounds per super-node.
-    node_bounds: Vec<BoundsMap>,
-    /// Aggregated bounds over member edges *internal* to the
-    /// super-node; `None` when no internal edge exists.
-    self_bounds: Vec<Option<BoundsMap>>,
     /// Super-arc endpoints, sorted by `(src, dst)`, `src != dst`.
     arc_src: Vec<u32>,
     arc_dst: Vec<u32>,
-    /// Aggregated edge bounds per super-arc.
-    arc_bounds: Vec<BoundsMap>,
     /// CSR over the arc list grouped by `src`.
     out_off: Vec<u32>,
     /// CSR over `in_arc` grouped by `dst`.
@@ -84,7 +151,7 @@ struct Level {
     in_arc: Vec<u32>,
 }
 
-impl Level {
+impl Shape {
     fn children(&self, sup: usize) -> &[u32] {
         &self.child[self.child_off[sup] as usize..self.child_off[sup + 1] as usize]
     }
@@ -97,8 +164,36 @@ impl Level {
         &self.in_arc[self.in_off[sup] as usize..self.in_off[sup + 1] as usize]
     }
 
-    /// The identity level: one super-node per host node. Used only as
-    /// the seed for the first `coarsen` call, never stored.
+    /// Whether `v`'s arcs in `host` are exactly the arcs this (identity)
+    /// shape recorded for it, in both directions.
+    fn same_arcs(&self, host: &Network, v: NodeId) -> bool {
+        let out = self.out_arcs(v.index()).map(|a| self.arc_dst[a]);
+        let ins = self
+            .in_arcs(v.index())
+            .iter()
+            .map(|&a| self.arc_src[a as usize]);
+        out.eq(host.neighbors(v).iter().map(|&(w, _)| w.0))
+            && ins.eq(host.in_neighbors(v).iter().map(|&(w, _)| w.0))
+    }
+}
+
+/// One coarsening level: a shared shape plus its aggregated bounds.
+#[derive(Clone, PartialEq)]
+struct Level {
+    shape: Arc<Shape>,
+    /// Aggregated node-attribute bounds per super-node.
+    node_bounds: Chunked<BoundsMap>,
+    /// Aggregated bounds over member edges *internal* to the
+    /// super-node; `None` when no internal edge exists.
+    self_bounds: Chunked<Option<BoundsMap>>,
+    /// Aggregated edge bounds per super-arc.
+    arc_bounds: Chunked<BoundsMap>,
+}
+
+impl Level {
+    /// The identity level: one super-node per host node. Only its
+    /// shape is stored (as the host topology a patch checks); its
+    /// bounds seed the first `coarsen` call.
     fn identity(host: &Network) -> Level {
         let n = host.node_count();
         let mut max_out = Vec::with_capacity(n);
@@ -133,20 +228,147 @@ impl Level {
         }
         let (out_off, in_off, in_arc) = build_arc_csr(n, &arc_src, &arc_dst);
         Level {
-            n,
-            child_off: Vec::new(),
-            child: Vec::new(),
-            leaf_count: vec![1; n],
-            max_out,
-            max_in,
-            node_bounds,
-            self_bounds: vec![None; n],
-            arc_src,
-            arc_dst,
-            arc_bounds,
-            out_off,
-            in_off,
-            in_arc,
+            shape: Arc::new(Shape {
+                n,
+                child_off: Vec::new(),
+                child: Vec::new(),
+                parent: Vec::new(),
+                max_out,
+                max_in,
+                arc_src,
+                arc_dst,
+                out_off,
+                in_off,
+                in_arc,
+            }),
+            node_bounds: Chunked::new(node_bounds),
+            self_bounds: Chunked::new(vec![None; n]),
+            arc_bounds: Chunked::new(arc_bounds),
+        }
+    }
+
+    /// Re-aggregate this level's bounds over `fine` (the layer it
+    /// coarsens), given the fine elements whose bounds may have
+    /// changed: nodes by id, arcs by `(src, dst)`. Writes only bounds
+    /// that really differ, and returns this level's changed nodes and
+    /// arcs in the same form, for the level above.
+    fn repair(
+        &mut self,
+        fine: &Fine<'_>,
+        nodes: &[u32],
+        arcs: &[(u32, u32)],
+    ) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let shape = Arc::clone(&self.shape);
+        let parent = &shape.parent;
+        let mut sups: Vec<u32> = nodes.iter().map(|&u| parent[u as usize]).collect();
+        let mut super_arcs = Vec::new();
+        for &(u, w) in arcs {
+            let (s, t) = (parent[u as usize], parent[w as usize]);
+            if s == t {
+                sups.push(s); // an internal arc: the self bounds move
+            } else {
+                super_arcs.push((s, t));
+            }
+        }
+        sups.sort_unstable();
+        sups.dedup();
+        super_arcs.sort_unstable();
+        super_arcs.dedup();
+
+        let mut changed_nodes = Vec::new();
+        for &g in &sups {
+            let g_us = g as usize;
+            let mut node: Option<BoundsMap> = None;
+            let mut internal: Option<BoundsMap> = None;
+            for &c in shape.children(g_us) {
+                merge_opt(&mut node, &fine.node(c));
+                if let Some(b) = fine.self_bounds(c) {
+                    merge_opt(&mut internal, b);
+                }
+                fine.fold_out(c, std::slice::from_mut(&mut internal), |w| {
+                    (parent[w as usize] == g).then_some(0)
+                });
+            }
+            let node = node.expect("every group has a member");
+            if node != self.node_bounds[g_us] || internal != self.self_bounds[g_us] {
+                self.node_bounds.set(g_us, node);
+                self.self_bounds.set(g_us, internal);
+                changed_nodes.push(g);
+            }
+        }
+
+        // Super-arcs grouped by source: one pass over the source's
+        // members' arcs re-aggregates every wanted arc it emits.
+        let mut changed_arcs = Vec::new();
+        for group in super_arcs.chunk_by(|a, b| a.0 == b.0) {
+            let s = group[0].0;
+            let mut acc: Vec<Option<BoundsMap>> = vec![None; group.len()];
+            for &c in shape.children(s as usize) {
+                fine.fold_out(c, &mut acc, |w| {
+                    group
+                        .binary_search_by_key(&parent[w as usize], |&(_, t)| t)
+                        .ok()
+                });
+            }
+            let range = shape.out_arcs(s as usize);
+            let dsts = &shape.arc_dst[range.clone()];
+            for (&(_, t), b) in group.iter().zip(acc) {
+                let pos = dsts
+                    .binary_search(&t)
+                    .expect("a fine arc maps to a super-arc");
+                let a = range.start + pos;
+                let b = b.expect("every super-arc aggregates a fine arc");
+                if b != self.arc_bounds[a] {
+                    self.arc_bounds.set(a, b);
+                    changed_arcs.push((s, t));
+                }
+            }
+        }
+        (changed_nodes, changed_arcs)
+    }
+}
+
+/// The layer a level aggregates, as [`Level::repair`] reads it: the
+/// host itself under level 0 (whose identity bounds are not stored),
+/// the next finer level above that.
+enum Fine<'a> {
+    Host(&'a Network),
+    Level(&'a Level),
+}
+
+impl Fine<'_> {
+    fn node(&self, u: u32) -> Cow<'_, BoundsMap> {
+        match self {
+            Fine::Host(host) => Cow::Owned(BoundsMap::from_node(host, NodeId(u))),
+            Fine::Level(l) => Cow::Borrowed(&l.node_bounds[u as usize]),
+        }
+    }
+
+    fn self_bounds(&self, u: u32) -> Option<&BoundsMap> {
+        match self {
+            Fine::Host(_) => None,
+            Fine::Level(l) => l.self_bounds[u as usize].as_ref(),
+        }
+    }
+
+    /// Merge the bounds of every arc leaving `u` into `acc[slot(dst)]`,
+    /// skipping arcs whose `slot` is `None`.
+    fn fold_out(&self, u: u32, acc: &mut [Option<BoundsMap>], slot: impl Fn(u32) -> Option<usize>) {
+        match self {
+            Fine::Host(host) => {
+                for &(w, e) in host.neighbors(NodeId(u)) {
+                    if let Some(k) = slot(w.0) {
+                        merge_opt(&mut acc[k], &BoundsMap::from_edge(host, e));
+                    }
+                }
+            }
+            Fine::Level(l) => {
+                for a in l.shape.out_arcs(u as usize) {
+                    if let Some(k) = slot(l.shape.arc_dst[a]) {
+                        merge_opt(&mut acc[k], &l.arc_bounds[a]);
+                    }
+                }
+            }
         }
     }
 }
@@ -183,9 +405,10 @@ fn build_arc_csr(n: usize, arc_src: &[u32], arc_dst: &[u32]) -> (Vec<u32>, Vec<u
 /// order, pair each unmatched node with its first unmatched neighbor
 /// (out first, then in), then pair leftover singletons with each other
 /// so every level at least halves (up to rounding). Deterministic by
-/// construction.
+/// construction, and a function of the fine shape alone.
 fn coarsen(fine: &Level) -> Level {
-    let n = fine.n;
+    let fs = &*fine.shape;
+    let n = fs.n;
     const UNMATCHED: u32 = u32::MAX;
     let mut partner = vec![UNMATCHED; n];
     for u in 0..n {
@@ -193,16 +416,16 @@ fn coarsen(fine: &Level) -> Level {
             continue;
         }
         let mut found = None;
-        for a in fine.out_arcs(u) {
-            let w = fine.arc_dst[a] as usize;
+        for a in fs.out_arcs(u) {
+            let w = fs.arc_dst[a] as usize;
             if w != u && partner[w] == UNMATCHED {
                 found = Some(w);
                 break;
             }
         }
         if found.is_none() {
-            for &a in fine.in_arcs(u) {
-                let w = fine.arc_src[a as usize] as usize;
+            for &a in fs.in_arcs(u) {
+                let w = fs.arc_src[a as usize] as usize;
                 if w != u && partner[w] == UNMATCHED {
                     found = Some(w);
                     break;
@@ -232,15 +455,15 @@ fn coarsen(fine: &Level) -> Level {
     // Assign coarse ids in ascending order of each group's smallest
     // member, so the mapping is stable and deterministic.
     const UNSET: u32 = u32::MAX;
-    let mut group_of = vec![UNSET; n];
+    let mut parent = vec![UNSET; n];
     let mut n_new = 0u32;
     for u in 0..n {
-        if group_of[u] != UNSET {
+        if parent[u] != UNSET {
             continue;
         }
-        group_of[u] = n_new;
+        parent[u] = n_new;
         if partner[u] != UNMATCHED {
-            group_of[partner[u] as usize] = n_new;
+            parent[partner[u] as usize] = n_new;
         }
         n_new += 1;
     }
@@ -248,7 +471,7 @@ fn coarsen(fine: &Level) -> Level {
 
     // Children CSR + aggregated node state.
     let mut child_off = vec![0u32; n_new + 1];
-    for &g in &group_of {
+    for &g in &parent {
         child_off[g as usize + 1] += 1;
     }
     for i in 0..n_new {
@@ -256,21 +479,19 @@ fn coarsen(fine: &Level) -> Level {
     }
     let mut cursor = child_off.clone();
     let mut child = vec![0u32; n];
-    for (u, &g) in group_of.iter().enumerate() {
+    for (u, &g) in parent.iter().enumerate() {
         child[cursor[g as usize] as usize] = u as u32;
         cursor[g as usize] += 1;
     }
 
-    let mut leaf_count = vec![0u32; n_new];
     let mut max_out = vec![0u32; n_new];
     let mut max_in = vec![0u32; n_new];
     let mut node_bounds: Vec<Option<BoundsMap>> = vec![None; n_new];
     let mut self_bounds: Vec<Option<BoundsMap>> = vec![None; n_new];
-    for (u, &g) in group_of.iter().enumerate() {
+    for (u, &g) in parent.iter().enumerate() {
         let g = g as usize;
-        leaf_count[g] += fine.leaf_count[u];
-        max_out[g] = max_out[g].max(fine.max_out[u]);
-        max_in[g] = max_in[g].max(fine.max_in[u]);
+        max_out[g] = max_out[g].max(fs.max_out[u]);
+        max_in[g] = max_in[g].max(fs.max_in[u]);
         merge_opt(&mut node_bounds[g], &fine.node_bounds[u]);
         if let Some(sb) = &fine.self_bounds[u] {
             merge_opt(&mut self_bounds[g], sb);
@@ -281,51 +502,51 @@ fn coarsen(fine: &Level) -> Level {
         .map(|b| b.expect("every group has a member"))
         .collect();
 
-    // Super-arcs: fine arcs between distinct groups accumulate into a
-    // BTreeMap (deterministic order); intra-group arcs fold into the
-    // group's self bounds.
-    let mut arcs: BTreeMap<(u32, u32), BoundsMap> = BTreeMap::new();
-    for a in 0..fine.arc_src.len() {
-        let gs = group_of[fine.arc_src[a] as usize];
-        let gd = group_of[fine.arc_dst[a] as usize];
-        let b = &fine.arc_bounds[a];
+    // Super-arcs: fine arcs between distinct groups, sorted by
+    // (src group, dst group, fine arc), fold run by run; intra-group
+    // arcs fold into the group's self bounds.
+    let mut cross: Vec<(u32, u32, u32)> = Vec::new();
+    for a in 0..fs.arc_src.len() {
+        let gs = parent[fs.arc_src[a] as usize];
+        let gd = parent[fs.arc_dst[a] as usize];
         if gs == gd {
-            merge_opt(&mut self_bounds[gs as usize], b);
+            merge_opt(&mut self_bounds[gs as usize], &fine.arc_bounds[a]);
         } else {
-            match arcs.entry((gs, gd)) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(b.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge_from(b);
-                }
-            }
+            cross.push((gs, gd, a as u32));
         }
     }
-    let mut arc_src = Vec::with_capacity(arcs.len());
-    let mut arc_dst = Vec::with_capacity(arcs.len());
-    let mut arc_bounds = Vec::with_capacity(arcs.len());
-    for ((s, d), b) in arcs {
-        arc_src.push(s);
-        arc_dst.push(d);
-        arc_bounds.push(b);
+    cross.sort_unstable();
+    let mut arc_src: Vec<u32> = Vec::new();
+    let mut arc_dst: Vec<u32> = Vec::new();
+    let mut arc_bounds: Vec<BoundsMap> = Vec::new();
+    for (s, d, a) in cross {
+        let b = &fine.arc_bounds[a as usize];
+        if arc_src.last() == Some(&s) && arc_dst.last() == Some(&d) {
+            arc_bounds.last_mut().expect("arc exists").merge_from(b);
+        } else {
+            arc_src.push(s);
+            arc_dst.push(d);
+            arc_bounds.push(b.clone());
+        }
     }
     let (out_off, in_off, in_arc) = build_arc_csr(n_new, &arc_src, &arc_dst);
     Level {
-        n: n_new,
-        child_off,
-        child,
-        leaf_count,
-        max_out,
-        max_in,
-        node_bounds,
-        self_bounds,
-        arc_src,
-        arc_dst,
-        arc_bounds,
-        out_off,
-        in_off,
-        in_arc,
+        shape: Arc::new(Shape {
+            n: n_new,
+            child_off,
+            child,
+            parent,
+            max_out,
+            max_in,
+            arc_src,
+            arc_dst,
+            out_off,
+            in_off,
+            in_arc,
+        }),
+        node_bounds: Chunked::new(node_bounds),
+        self_bounds: Chunked::new(self_bounds),
+        arc_bounds: Chunked::new(arc_bounds),
     }
 }
 
@@ -352,9 +573,16 @@ pub enum Refinement {
 
 /// A multilevel coarsening of one host network. Build once per
 /// `(host, epoch)` — construction only reads the host, so the same
-/// hierarchy serves every query against that snapshot.
+/// hierarchy serves every query against that snapshot — and
+/// [`patch`](SubstrateHierarchy::patch) it forward across tracked
+/// attribute changes. Equality compares every level's shape and
+/// bounds, so a patched hierarchy can be checked against a fresh
+/// build. Cloning is cheap: shapes and bound chunks are shared.
+#[derive(Clone, PartialEq)]
 pub struct SubstrateHierarchy {
-    host_nodes: usize,
+    /// The host's own shape (identity level, no bounds): the topology
+    /// a patch must find unchanged at every dirty node.
+    host: Arc<Shape>,
     /// `levels[0]` is the finest coarsening (children are host node
     /// ids); the last entry is the coarsest.
     levels: Vec<Level>,
@@ -365,23 +593,65 @@ impl SubstrateHierarchy {
     /// super-nodes or `spec.max_levels` levels exist.
     pub fn build(host: &Network, spec: &HierarchySpec) -> Self {
         let floor = spec.min_nodes.max(1);
-        let mut chain = vec![Level::identity(host)];
-        while chain.len() - 1 < spec.max_levels {
-            let fine = chain.last().expect("chain is never empty");
-            if fine.n <= floor {
+        let identity = Level::identity(host);
+        let mut levels: Vec<Level> = Vec::new();
+        while levels.len() < spec.max_levels {
+            let fine = levels.last().unwrap_or(&identity);
+            if fine.shape.n <= floor {
                 break;
             }
             let coarse = coarsen(fine);
-            if coarse.n >= fine.n {
+            if coarse.shape.n >= fine.shape.n {
                 break;
             }
-            chain.push(coarse);
+            levels.push(coarse);
         }
-        chain.remove(0); // drop the identity seed; level-0 children are host ids
         SubstrateHierarchy {
-            host_nodes: host.node_count(),
-            levels: chain,
+            host: identity.shape,
+            levels,
         }
+    }
+
+    /// This hierarchy repaired for `host`, a later version of the
+    /// host it was built from in which only attributes of `dirty`
+    /// nodes and of edges between them changed (module docs,
+    /// "Repair"). Re-aggregates only the ancestors of what changed,
+    /// level by level, stopping where a bound comes out equal, and
+    /// shares everything else with `self`. Returns `None` when the
+    /// window may have changed the matching: the node count changed,
+    /// a dirty id is out of range, or a dirty node's arc lists differ.
+    /// `Some(h)` equals `SubstrateHierarchy::build(host, spec)` under
+    /// the spec `self` was built with.
+    pub fn patch(&self, host: &Network, dirty: &[NodeId]) -> Option<SubstrateHierarchy> {
+        if host.node_count() != self.host.n {
+            return None;
+        }
+        let mut nodes: Vec<u32> = dirty.iter().map(|v| v.0).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        if nodes
+            .iter()
+            .any(|&v| v as usize >= self.host.n || !self.host.same_arcs(host, NodeId(v)))
+        {
+            return None;
+        }
+        // A mutated edge has both endpoints dirty, so the arcs leaving
+        // dirty nodes cover every arc whose attributes may have changed.
+        let hs = &*self.host;
+        let mut arcs: Vec<(u32, u32)> = nodes
+            .iter()
+            .flat_map(|&v| hs.out_arcs(v as usize).map(move |a| (v, hs.arc_dst[a])))
+            .collect();
+        let mut patched = self.clone();
+        for li in 0..patched.levels.len() {
+            if nodes.is_empty() && arcs.is_empty() {
+                break;
+            }
+            let (finer, rest) = patched.levels.split_at_mut(li);
+            let fine = finer.last().map_or(Fine::Host(host), Fine::Level);
+            (nodes, arcs) = rest[0].repair(&fine, &nodes, &arcs);
+        }
+        Some(patched)
     }
 
     /// Number of coarsening levels (0 when the host was already at or
@@ -392,27 +662,27 @@ impl SubstrateHierarchy {
 
     /// Host node count this hierarchy was built from.
     pub fn host_nodes(&self) -> usize {
-        self.host_nodes
+        self.host.n
     }
 
     /// Super-node count at `level` (0 = finest).
     pub fn level_size(&self, level: usize) -> usize {
-        self.levels[level].n
+        self.levels[level].shape.n
     }
 
     /// Super-node counts from finest to coarsest.
     pub fn level_sizes(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.n).collect()
+        self.levels.iter().map(|l| l.shape.n).collect()
     }
 
     /// All host leaves under super-node `sup` of `level`, ascending.
     pub fn leaf_members(&self, level: usize, sup: usize) -> Vec<NodeId> {
         let mut frontier = vec![sup as u32];
         for li in (0..=level).rev() {
-            let lvl = &self.levels[li];
+            let shape = &self.levels[li].shape;
             let mut next = Vec::new();
             for &s in &frontier {
-                next.extend_from_slice(lvl.children(s as usize));
+                next.extend_from_slice(shape.children(s as usize));
             }
             frontier = next;
         }
@@ -433,8 +703,9 @@ impl SubstrateHierarchy {
     /// Aggregated bounds of the super-arc `s → t`, if present.
     pub fn arc_bounds_between(&self, level: usize, s: usize, t: usize) -> Option<&BoundsMap> {
         let lvl = &self.levels[level];
-        lvl.out_arcs(s)
-            .find(|&a| lvl.arc_dst[a] == t as u32)
+        lvl.shape
+            .out_arcs(s)
+            .find(|&a| lvl.shape.arc_dst[a] == t as u32)
             .map(|a| &lvl.arc_bounds[a])
     }
 
@@ -455,10 +726,9 @@ impl SubstrateHierarchy {
         let q = problem.query;
         let nq = problem.nq();
         stats.hier_levels = self.levels.len() as u64;
-        stats.hier_full_cells = (nq as u64) * (self.host_nodes as u64);
+        stats.hier_full_cells = (nq as u64) * (self.host.n as u64);
         if self.levels.is_empty() {
-            let allowed: Vec<NodeBitSet> =
-                (0..nq).map(|_| NodeBitSet::full(self.host_nodes)).collect();
+            let allowed: Vec<NodeBitSet> = (0..nq).map(|_| NodeBitSet::full(self.host.n)).collect();
             stats.hier_expanded_cells = stats.hier_full_cells;
             return Refinement::Restricted(allowed);
         }
@@ -477,16 +747,17 @@ impl SubstrateHierarchy {
                 return Refinement::TimedOut;
             }
             let lvl = &self.levels[li];
+            let shape = &*lvl.shape;
             // Seed this level's domains: every super-node at the
             // coarsest level, else the children of coarser survivors.
             let mut domains: Vec<NodeBitSet> = Vec::with_capacity(nq);
             let mut considered = 0u64;
             let mut admitted = 0u64;
             for v in 0..nq {
-                let mut dom = NodeBitSet::new(lvl.n);
+                let mut dom = NodeBitSet::new(shape.n);
                 let mut admit = |s: usize, stats: &mut SearchStats| {
                     considered += 1;
-                    if lvl.max_out[s] < q_out[v] || lvl.max_in[s] < q_in[v] {
+                    if shape.max_out[s] < q_out[v] || shape.max_in[s] < q_in[v] {
                         return;
                     }
                     if let Some(node_expr) = problem.node_expr() {
@@ -505,14 +776,14 @@ impl SubstrateHierarchy {
                 };
                 match &prev {
                     None => {
-                        for s in 0..lvl.n {
+                        for s in 0..shape.n {
                             admit(s, stats);
                         }
                     }
                     Some(coarser) => {
                         let coarser_lvl = &self.levels[li + 1];
                         for sup in coarser[v].iter() {
-                            for &c in coarser_lvl.children(sup.index()) {
+                            for &c in coarser_lvl.shape.children(sup.index()) {
                                 admit(c as usize, stats);
                             }
                         }
@@ -550,8 +821,8 @@ impl SubstrateHierarchy {
                                     v_src: e.src,
                                     v_dst: e.dst,
                                     r_edge: &lvl.arc_bounds[arc],
-                                    r_src: &lvl.node_bounds[lvl.arc_src[arc] as usize],
-                                    r_dst: &lvl.node_bounds[lvl.arc_dst[arc] as usize],
+                                    r_src: &lvl.node_bounds[shape.arc_src[arc] as usize],
+                                    r_dst: &lvl.node_bounds[shape.arc_dst[arc] as usize],
                                 });
                                 verdict == Verdict::Maybe
                             })
@@ -585,8 +856,8 @@ impl SubstrateHierarchy {
                     for sid in domains[a].iter() {
                         let s = sid.index();
                         let mut supported = false;
-                        for arc in lvl.out_arcs(s) {
-                            let t = lvl.arc_dst[arc] as usize;
+                        for arc in shape.out_arcs(s) {
+                            let t = shape.arc_dst[arc] as usize;
                             if domains[b].contains(NodeId(t as u32))
                                 && edge_maybe(arc, stats, &mut arc_memo)
                             {
@@ -619,9 +890,9 @@ impl SubstrateHierarchy {
                     for tid in domains[b].iter() {
                         let t = tid.index();
                         let mut supported = false;
-                        for &arc in lvl.in_arcs(t) {
+                        for &arc in shape.in_arcs(t) {
                             let arc = arc as usize;
-                            let s = lvl.arc_src[arc] as usize;
+                            let s = shape.arc_src[arc] as usize;
                             if domains[a].contains(NodeId(s as u32))
                                 && edge_maybe(arc, stats, &mut arc_memo)
                             {
@@ -660,9 +931,9 @@ impl SubstrateHierarchy {
         let mut allowed = Vec::with_capacity(nq);
         let mut expanded = 0u64;
         for dom in &domains {
-            let mut bs = NodeBitSet::new(self.host_nodes);
+            let mut bs = NodeBitSet::new(self.host.n);
             for sup in dom.iter() {
-                for &c in lvl0.children(sup.index()) {
+                for &c in lvl0.shape.children(sup.index()) {
                     bs.insert(NodeId(c));
                 }
             }

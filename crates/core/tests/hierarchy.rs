@@ -15,6 +15,12 @@
 //! 3. **Solution-set identity** — a hierarchical run (sequential ECF
 //!    and work-stealing parallel ECF at 1–4 pinned workers) returns a
 //!    solution set identical to the flat run, mapping for mapping.
+//! 4. **Exact repair** — across an attribute-only window (node and
+//!    edge attributes with every touched node dirty, newly interned
+//!    names included), `patch` equals a fresh build of the mutated
+//!    host and refines to the same candidate sets; a window that adds
+//!    or removes an edge, changes the node count or names an
+//!    out-of-range node gives `None`.
 //!
 //! A scale soak on a ≥10⁵-node power-law substrate runs behind
 //! `NETEMBED_HIERARCHY_FULL=1` (nightly CI), mirroring the chaos
@@ -25,7 +31,7 @@ use netembed::{
     Algorithm, Deadline, Engine, HierarchySpec, Mapping, Options, Outcome, Problem, Refinement,
     SearchMode, SearchStats, SubstrateHierarchy,
 };
-use netgraph::{Direction, Network, NodeId};
+use netgraph::{Direction, Network, NodeBitSet, NodeId};
 use proptest::prelude::*;
 
 /// Worker counts for the parallel identity property. CI pins this via
@@ -259,6 +265,189 @@ proptest! {
     }
 }
 
+/// Apply attribute-only mutations to `host`, returning the dirty set
+/// the registry's contract demands: each mutated node, and both
+/// endpoints of each mutated edge. `mem` and `lat` are names the base
+/// host never interned; `zone` strings range over more values than a
+/// bound tracks exactly.
+fn mutate_attrs(host: &mut Network, muts: &[(u8, u32, u32)]) -> Vec<NodeId> {
+    let nr = host.node_count() as u32;
+    let edges: Vec<netgraph::EdgeRef> = host.edge_refs().collect();
+    let mut dirty = Vec::new();
+    for &(kind, a, b) in muts {
+        let v = NodeId(a % nr);
+        match kind % 5 {
+            0 => host.set_node_attr(v, "cpu", f64::from(b)),
+            1 => host.set_node_attr(v, "mem", f64::from(b)),
+            2 => host.set_node_attr(v, "zone", format!("z{}", b % 12)),
+            k if !edges.is_empty() => {
+                let e = edges[a as usize % edges.len()];
+                let name = if k == 3 { "d" } else { "lat" };
+                host.set_edge_attr(e.id, name, f64::from(b));
+                dirty.extend([e.src, e.dst]);
+                continue;
+            }
+            _ => continue,
+        }
+        dirty.push(v);
+    }
+    dirty
+}
+
+/// The candidate sets of one refinement (`None` = proven infeasible).
+fn refined(
+    hier: &SubstrateHierarchy,
+    problem: &Problem<'_>,
+) -> Result<Option<Vec<NodeBitSet>>, TestCaseError> {
+    let mut dl = Deadline::unlimited();
+    let mut stats = SearchStats::default();
+    match hier.refine(problem, &mut dl, &mut stats) {
+        Refinement::Restricted(allowed) => Ok(Some(allowed)),
+        Refinement::Infeasible => Ok(None),
+        Refinement::TimedOut => Err(TestCaseError::fail("unlimited refine timed out")),
+    }
+}
+
+/// Property 4, positive half: an attribute-only window patches to
+/// exactly the fresh build, and both refine identically.
+#[allow(clippy::too_many_arguments)]
+fn check_patch_exact(
+    dir: Direction,
+    nr: usize,
+    cpus: &[u32],
+    hedges: &[(u32, u32, u32)],
+    qedges: &[(u32, u32)],
+    muts: &[(u8, u32, u32)],
+    cpu_min: u32,
+    thr: u32,
+) -> Result<(), TestCaseError> {
+    let (mut old, query) = build_nets(dir, nr, cpus, hedges, 3, qedges);
+    for v in 0..nr {
+        old.set_node_attr(NodeId(v as u32), "zone", format!("z{}", v % 10));
+    }
+    let hier = SubstrateHierarchy::build(&old, &DEEP);
+    let mut new = old.clone();
+    let dirty = mutate_attrs(&mut new, muts);
+    let patched = hier.patch(&new, &dirty);
+    let built = SubstrateHierarchy::build(&new, &DEEP);
+    prop_assert!(
+        patched.as_ref() == Some(&built),
+        "patch diverges from a fresh build (dirty {dirty:?})"
+    );
+    let patched = patched.expect("compared equal to Some above");
+
+    let constraint = format!("rNode.cpu >= {cpu_min}.0 && rEdge.d <= {thr}.0");
+    let problem = Problem::new(&query, &new, &constraint).unwrap();
+    prop_assert_eq!(refined(&patched, &problem)?, refined(&built, &problem)?);
+    Ok(())
+}
+
+/// Property 4, negative half: every window that may change the
+/// matching is refused.
+fn check_patch_refuses(
+    dir: Direction,
+    nr: usize,
+    cpus: &[u32],
+    hedges: &[(u32, u32, u32)],
+    pick: u32,
+) -> Result<(), TestCaseError> {
+    let (old, _) = build_nets(dir, nr, cpus, hedges, 1, &[]);
+    let hier = SubstrateHierarchy::build(&old, &DEEP);
+    prop_assert!(hier.patch(&old, &[]) == Some(SubstrateHierarchy::build(&old, &DEEP)));
+
+    // Add an edge between the first non-adjacent pair at or after `pick`.
+    let n = nr as u32;
+    let pair = (0..n * n)
+        .map(|k| (pick + k) % (n * n))
+        .map(|idx| (NodeId(idx / n), NodeId(idx % n)))
+        .find(|&(u, v)| u != v && !old.has_edge(u, v));
+    if let Some((u, v)) = pair {
+        let mut added = old.clone();
+        added.add_edge(u, v);
+        prop_assert!(
+            hier.patch(&added, &[u, v]).is_none(),
+            "edge addition patched"
+        );
+    }
+
+    // Remove one edge: rebuild the host from every other edge.
+    let edges: Vec<(u32, u32, u32)> = old
+        .edge_refs()
+        .map(|e| {
+            let d = old.edge_attr_by_name(e.id, "d").and_then(|d| d.as_num());
+            (e.src.0, e.dst.0, d.expect("every host edge has d") as u32)
+        })
+        .collect();
+    if !edges.is_empty() {
+        let k = pick as usize % edges.len();
+        let mut rest = edges.clone();
+        let (u, v, _) = rest.remove(k);
+        let (removed, _) = build_nets(dir, nr, cpus, &rest, 1, &[]);
+        prop_assert!(
+            hier.patch(&removed, &[NodeId(u), NodeId(v)]).is_none(),
+            "edge removal patched"
+        );
+    }
+
+    // Grow the node count.
+    let mut grown = old.clone();
+    let extra = grown.add_node("extra");
+    prop_assert!(
+        hier.patch(&grown, &[extra]).is_none(),
+        "node addition patched"
+    );
+    prop_assert!(hier.patch(&grown, &[]).is_none(), "node count unchecked");
+
+    // An id past the host.
+    prop_assert!(
+        hier.patch(&old, &[NodeId(n + pick % 4)]).is_none(),
+        "out-of-range id patched"
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn patch_equals_build_undirected(
+        nr in 4usize..16,
+        cpus in proptest::collection::vec(1u32..8, 1..6),
+        hedges in proptest::collection::vec((0u32..16, 0u32..16, 0u32..50), 2..40),
+        qedges in proptest::collection::vec((0u32..3, 0u32..3), 1..4),
+        muts in proptest::collection::vec((0u8..5, 0u32..64, 0u32..50), 0..8),
+        cpu_min in 0u32..6,
+        thr in 5u32..45,
+    ) {
+        check_patch_exact(Direction::Undirected, nr, &cpus, &hedges, &qedges, &muts, cpu_min, thr)?;
+    }
+
+    #[test]
+    fn patch_equals_build_directed(
+        nr in 4usize..16,
+        cpus in proptest::collection::vec(1u32..8, 1..6),
+        hedges in proptest::collection::vec((0u32..16, 0u32..16, 0u32..50), 2..40),
+        qedges in proptest::collection::vec((0u32..3, 0u32..3), 1..4),
+        muts in proptest::collection::vec((0u8..5, 0u32..64, 0u32..50), 0..8),
+        cpu_min in 0u32..6,
+        thr in 5u32..45,
+    ) {
+        check_patch_exact(Direction::Directed, nr, &cpus, &hedges, &qedges, &muts, cpu_min, thr)?;
+    }
+
+    #[test]
+    fn patch_refuses_topology_and_range_changes(
+        directed in any::<bool>(),
+        nr in 4usize..12,
+        cpus in proptest::collection::vec(1u32..8, 1..6),
+        hedges in proptest::collection::vec((0u32..12, 0u32..12, 0u32..50), 1..28),
+        pick in 0u32..1000,
+    ) {
+        let dir = if directed { Direction::Directed } else { Direction::Undirected };
+        check_patch_refuses(dir, nr, &cpus, &hedges, pick)?;
+    }
+}
+
 /// An always-infeasible node constraint must be recognized at the
 /// coarsest level: the refinement prunes every domain without ever
 /// touching the concrete filter, and the engine classifies the run as
@@ -341,5 +530,29 @@ fn hierarchy_soak_100k_power_law() {
         "expanded {} of {} cells — more than 10%",
         res.stats.hier_expanded_cells,
         res.stats.hier_full_cells
+    );
+
+    // Repair at scale: an 8-node cpu commit patches to exactly the
+    // fresh build of the committed host.
+    let spec = HierarchySpec::default();
+    let start = std::time::Instant::now();
+    let hier = SubstrateHierarchy::build(&host, &spec);
+    let build_time = start.elapsed();
+    let mut committed = host.clone();
+    let dirty: Vec<NodeId> = (0..8u32)
+        .map(|i| NodeId(i * 12_347 % params.n as u32))
+        .collect();
+    for (i, &v) in dirty.iter().enumerate() {
+        committed.set_node_attr(v, "cpu", 3.0 * (i + 1) as f64);
+    }
+    let start = std::time::Instant::now();
+    let patched = hier
+        .patch(&committed, &dirty)
+        .expect("an attribute-only commit patches");
+    let patch_time = start.elapsed();
+    eprintln!("100k hierarchy: build {build_time:?}, 8-node cpu patch {patch_time:?}");
+    assert!(
+        patched == SubstrateHierarchy::build(&committed, &spec),
+        "the patched hierarchy diverges from a fresh build"
     );
 }

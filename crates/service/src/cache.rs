@@ -51,8 +51,11 @@
 //! with [`FilterMatrix::patch`](netembed::FilterMatrix::patch), and a
 //! window that *adds* a feasible candidate returns `NeedsRebuild`,
 //! which is what keeps repair sound for additive mutations. The
-//! hierarchy instance only promotes across empty windows, since a
-//! coarsening aggregates every node.
+//! hierarchy instance promotes across empty windows and repairs
+//! attribute-only windows with
+//! [`SubstrateHierarchy::patch`](netembed::SubstrateHierarchy::patch),
+//! which re-aggregates only the dirty nodes' ancestors; a window that
+//! touches a dirty node's arcs (or the node count) rebuilds.
 //!
 //! ## Concurrent-miss deduplication
 //!

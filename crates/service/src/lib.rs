@@ -92,7 +92,12 @@
 //! `hier_full_cells`). One coarsening serves every query and every
 //! distinct constraint against that host snapshot, which is exactly
 //! the amortization the filter cache cannot offer (its key includes
-//! the query fingerprint and constraint). Hierarchical runs bypass
+//! the query fingerprint and constraint). A tracked model change does
+//! not discard the coarsening: the next hierarchical run (or
+//! `warm_hierarchy`) promotes it across an empty dirty window and
+//! patches it across an attribute-only one, re-aggregating only the
+//! dirty nodes' ancestors; only a topology change or an untracked
+//! update re-coarsens. Hierarchical runs bypass
 //! the filter cache on purpose: the restricted matrix is a product of
 //! per-query refinement, and memoizing it under the flat key would
 //! collide full and restricted builds.
@@ -558,6 +563,8 @@ impl NetEmbedService {
     /// the result, so a later hierarchical submit pays refinement and
     /// the restricted filter build only — not construction. Returns the
     /// cached hierarchy when one already exists for the current epoch,
+    /// repairs one cached for an earlier epoch across a tracked dirty
+    /// window (promoted or patched, see [`cache`]'s "Epoch repair"),
     /// and waits for a coarsening another caller already has in flight.
     /// This is the warm-up path for latency-sensitive callers on large
     /// substrates (construction at 10^5+ nodes is seconds of work that
@@ -864,6 +871,15 @@ pub struct ServiceTelemetry {
     /// window ([`EpochCache::try_patch`]'s `Promote` arm) —
     /// re-coarsenings saved.
     pub hierarchy_promotions: u64,
+    /// Lifetime superseded hierarchies repaired across an
+    /// attribute-only dirty window ([`EpochCache::try_patch`]'s
+    /// `Replace` arm) — re-coarsenings turned into re-aggregations of
+    /// the dirty nodes' ancestors.
+    pub hierarchy_patches: u64,
+    /// Lifetime hierarchy patch attempts that fell back to a full
+    /// coarsening because the window may have changed the host's
+    /// topology.
+    pub hierarchy_patch_rebuilds: u64,
     /// Lifetime [`FilterCache`] entries re-keyed across an empty dirty
     /// window ([`EpochCache::try_patch`]'s `Promote` arm) — filter
     /// rebuilds saved without touching a single cell.
@@ -932,6 +948,8 @@ impl NetEmbedService {
             hierarchy_cache_hits: self.hierarchies.hits(),
             hierarchy_cache_misses: self.hierarchies.misses(),
             hierarchy_promotions: self.hierarchies.promotions(),
+            hierarchy_patches: self.hierarchies.patches(),
+            hierarchy_patch_rebuilds: self.hierarchies.patch_rebuilds(),
             filter_cache_promotions: self.cache.promotions(),
             filter_cache_patches: self.cache.patches(),
             filter_cache_patch_rebuilds: self.cache.patch_rebuilds(),

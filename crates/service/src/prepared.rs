@@ -451,9 +451,10 @@ impl<'a> Acquire<'a> {
 }
 
 /// Resolve the coarsening of `key` (built from `host`) through the
-/// service's hierarchy cache: promote a superseded coarsening across a
-/// provably empty dirty window (a hierarchy aggregates every node, so
-/// any non-empty window can change it), then take the memo, share an
+/// service's hierarchy cache: repair a superseded coarsening across a
+/// tracked dirty window (re-keyed as is when the window is empty,
+/// [`SubstrateHierarchy::patch`]ed when it only changed attributes,
+/// rebuilt when it changed topology), then take the memo, share an
 /// in-flight build, or coarsen as the designated builder. Waits carry
 /// no budget, because coarsening is not charged to a request's budget,
 /// but they honour `cancel`. Returns the hierarchy and whether this
@@ -465,10 +466,17 @@ pub(crate) fn fetch_hierarchy(
     cancel: Option<&dyn Fn() -> bool>,
 ) -> Option<(Arc<SubstrateHierarchy>, bool)> {
     let cache = svc.hierarchy_cache();
-    cache.try_patch(key, |old, _| {
+    cache.try_patch(key, |old, hier| {
         match svc.registry().dirty_between(&key.host, old, key.epoch) {
             Some(dirty) if dirty.is_empty() => PatchDecision::Promote,
-            _ => PatchDecision::Skip,
+            Some(dirty) => {
+                let dirty: Vec<NodeId> = dirty.iter().map(NodeId).collect();
+                match hier.patch(host, &dirty) {
+                    Some(patched) => PatchDecision::Replace(Arc::new(patched)),
+                    None => PatchDecision::Rebuild,
+                }
+            }
+            None => PatchDecision::Skip,
         }
     });
     match cache.fetch_or_build_watch(key, None, cancel) {

@@ -32,7 +32,7 @@ use service::{
     AdmissionPolicy, FaultPlan, NetEmbedService, PlannedRequest, Priority, QueryResponse,
     ReservationManager, ServiceConfig, ServiceError, ShedMode, ShedReason,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 
@@ -166,6 +166,24 @@ struct Tally {
     dropped: AtomicU64,
 }
 
+/// Counts finished threads on drop, unwinding included, so a thread
+/// spinning on another's progress can tell "not yet" from "never".
+struct Finished<'a>(&'a AtomicUsize);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Yield until `ready` holds: the handshake every spawned thread of
+/// this harness performs before acting on another thread's progress.
+fn spin_until(ready: impl Fn() -> bool) {
+    while !ready() {
+        std::thread::yield_now();
+    }
+}
+
 const CONSTRAINTS: [&str; 3] = ["rEdge.avgDelay <= 30.0", "rEdge.avgDelay <= 45.0", "true"];
 
 fn chaos_request(rng: &mut StdRng) -> (PlannedRequest, Network, &'static str) {
@@ -239,13 +257,23 @@ fn chaos_round(seed: u64) {
 
     let tally = Tally::default();
     let snapshots = [&model_a, &model_b];
+    // Handshakes: every thread starts once all have spawned, so traffic
+    // and churn overlap even on one core; the churn thread then steps
+    // only on observed dispatch progress.
+    let started = AtomicUsize::new(0);
+    let clients_done = AtomicUsize::new(0);
+    let all_started = || started.load(Ordering::SeqCst) == CLIENTS + 1;
 
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
             let svc = &svc;
             let tally = &tally;
             let snapshots = &snapshots;
+            let (started, clients_done, all_started) = (&started, &clients_done, &all_started);
             s.spawn(move || {
+                let _done = Finished(clients_done);
+                started.fetch_add(1, Ordering::SeqCst);
+                spin_until(all_started);
                 let mut rng =
                     StdRng::seed_from_u64(seed ^ (client as u64 + 1).wrapping_mul(0xA5A5));
                 let planner = svc.planner();
@@ -273,13 +301,24 @@ fn chaos_round(seed: u64) {
             });
         }
         // Churn: wholesale model swaps (epoch bumps) and reservation
-        // commit/release cycles racing the client traffic.
+        // commit/release cycles racing the client traffic. Each step
+        // waits until the planner dispatched another group since the
+        // last one (or every client finished).
         let svc = &svc;
+        let (started, clients_done, all_started) = (&started, &clients_done, &all_started);
         s.spawn(move || {
+            started.fetch_add(1, Ordering::SeqCst);
+            spin_until(all_started);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x00C0_FFEE);
             let reservations = ReservationManager::new();
+            let planner = svc.planner();
+            let mut dispatched = planner.groups_dispatched();
             for step in 0..8 {
-                std::thread::yield_now();
+                spin_until(|| {
+                    planner.groups_dispatched() > dispatched
+                        || clients_done.load(Ordering::SeqCst) == CLIENTS
+                });
+                dispatched = planner.groups_dispatched();
                 let next = if step % 2 == 0 {
                     ring_host(1.3)
                 } else {
@@ -719,24 +758,42 @@ fn feed_chaos_round(seed: u64) {
         })
     };
     let converged = AtomicBool::new(false);
+    // Handshakes: clients start once the feed has received a delta, and
+    // the feed pumps again only after another answer was served (or
+    // every client finished), so serving and churn interleave even on
+    // one core.
+    let served = AtomicUsize::new(0);
+    let clients_done = AtomicUsize::new(0);
+    let feed_done = AtomicUsize::new(0);
 
     std::thread::scope(|s| {
         let svc = &svc;
         let converged = &converged;
+        let (served, clients_done, feed_done) = (&served, &clients_done, &feed_done);
         s.spawn(move || {
+            let _done = Finished(feed_done);
             let mut feed = RegistryFeed::new(stream, snapshots, FeedConfig::default());
             for _ in 0..5_000 {
+                let seen = served.load(Ordering::SeqCst);
                 let state = feed.pump(svc);
                 if state == FeedState::Live && feed.cursor() == DELTAS as u64 {
                     converged.store(true, Ordering::Relaxed);
                     return;
                 }
+                spin_until(|| {
+                    served.load(Ordering::SeqCst) > seen
+                        || clients_done.load(Ordering::SeqCst) == CLIENTS
+                });
                 std::thread::yield_now();
             }
         });
         for client in 0..CLIENTS {
             let states = &states;
             s.spawn(move || {
+                let _done = Finished(clients_done);
+                spin_until(|| {
+                    svc.telemetry().feed.received > 0 || feed_done.load(Ordering::SeqCst) > 0
+                });
                 let mut rng =
                     StdRng::seed_from_u64(seed ^ (client as u64 + 1).wrapping_mul(0xFEED));
                 let snapshots: Vec<&Network> = states.iter().collect();
@@ -760,6 +817,7 @@ fn feed_chaos_round(seed: u64) {
                     };
                     let resp = result.expect("no admission bounds configured: never sheds");
                     assert_mappings_verify(&resp, &query, constraint, &snapshots);
+                    served.fetch_add(1, Ordering::SeqCst);
                     std::thread::yield_now();
                 }
             });

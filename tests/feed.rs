@@ -8,7 +8,10 @@
 //! repair the cached filter instead of rebuilding it — *promoted*
 //! across a provably-empty dirty window, *patched in place* across a
 //! subtractive one, and rebuilt only when the delta admitted a new
-//! candidate. The removal-only churn gate
+//! candidate. A cached coarsening is repaired the same way: promoted
+//! across an empty window, patched across an attribute-only one, and
+//! rebuilt when the window changed topology or was untracked. The
+//! removal-only churn gate
 //! ([`removal_only_churn_patches_without_a_single_rebuild`]) is the CI
 //! smoke for the patch path; `NETEMBED_CHURN_FULL=1` lengthens it for
 //! the nightly soak.
@@ -664,6 +667,130 @@ fn empty_window_epoch_bump_promotes_the_hierarchy() {
     );
     assert_eq!(svc.hierarchy_cache().promotions(), 1);
     assert_eq!(svc.telemetry().hierarchy_promotions, 1);
+}
+
+/// A hierarchical request that enumerates every mapping, so its
+/// answer can be compared set for set with the flat ECF oracle.
+fn hier_request(host: &str) -> QueryRequest {
+    let mut req = request(host);
+    req.options.hierarchy = Some(netembed::HierarchySpec {
+        min_nodes: 2,
+        ..netembed::HierarchySpec::default()
+    });
+    req.options.mode = netembed::SearchMode::All;
+    req
+}
+
+/// Sorted host-id vectors of `mappings`.
+fn mapping_set(mappings: &[netembed::Mapping]) -> Vec<Vec<NodeId>> {
+    let mut out: Vec<Vec<NodeId>> = mappings.iter().map(|m| m.as_slice().to_vec()).collect();
+    out.sort();
+    out
+}
+
+/// `resp` must hold exactly the mappings flat ECF finds against the
+/// registry's current model of `req.host`.
+fn assert_matches_flat_ecf(svc: &NetEmbedService, req: &QueryRequest, resp: &QueryResponse) {
+    let model = svc.registry().model(&req.host).expect("host registered");
+    let problem =
+        netembed::Problem::new(&req.query, &model, &req.constraint).expect("valid constraint");
+    let flat = netembed::Engine::run(
+        &problem,
+        &netembed::Options {
+            algorithm: netembed::Algorithm::Ecf,
+            mode: netembed::SearchMode::All,
+            ..netembed::Options::default()
+        },
+    )
+    .expect("flat run");
+    assert!(matches!(flat.outcome, netembed::Outcome::Complete(_)));
+    assert_eq!(
+        mapping_set(resp.mappings()),
+        mapping_set(flat.outcome.mappings()),
+        "the hierarchical answer diverges from flat ECF at the current epoch"
+    );
+}
+
+/// The hierarchy patch gate: a tracked attribute commit repairs the
+/// superseded coarsening in place — no second miss, one patch — and
+/// the answer at the new epoch is the flat ECF answer. The commit
+/// *admits* a node the old bounds prune, so serving the stale
+/// coarsening would lose mappings.
+#[test]
+fn tracked_cpu_commit_patches_the_hierarchy() {
+    let mut host = path_host();
+    host.set_node_attr(NodeId(4), "cpu", 1.0);
+    let svc = NetEmbedService::new();
+    svc.registry().register("h", host);
+    let req = hier_request("h");
+    let cold = svc.submit(&req).unwrap();
+    assert_matches_flat_ecf(&svc, &req, &cold);
+    assert_eq!(svc.hierarchy_cache().misses(), 1);
+
+    // Node 4 rises to the query's cpu demand: mappings onto 3–4 appear.
+    svc.registry()
+        .update_dirty("h", DirtySet::from_ids([4]), |net| {
+            net.set_node_attr(NodeId(4), "cpu", 8.0)
+        })
+        .unwrap();
+    let warm = svc.submit(&req).unwrap();
+    assert_matches_flat_ecf(&svc, &req, &warm);
+    assert_ne!(mapping_set(warm.mappings()), mapping_set(cold.mappings()));
+    assert_eq!(warm.stats.hierarchy_cache_hits, 1, "the patch serves a hit");
+    assert_eq!(
+        svc.hierarchy_cache().misses(),
+        1,
+        "a cpu commit must not re-coarsen"
+    );
+    assert_eq!(svc.hierarchy_cache().patches(), 1);
+    assert_eq!(svc.hierarchy_cache().patch_rebuilds(), 0);
+    let telemetry = svc.telemetry();
+    assert_eq!(telemetry.hierarchy_patches, 1);
+    assert_eq!(telemetry.hierarchy_patch_rebuilds, 0);
+}
+
+/// A tracked commit that adds an edge may change the matching: the
+/// patch is refused and the coarsening rebuilt.
+#[test]
+fn tracked_edge_addition_rebuilds_the_hierarchy() {
+    let svc = NetEmbedService::new();
+    svc.registry().register("h", path_host());
+    let req = hier_request("h");
+    svc.submit(&req).unwrap();
+
+    svc.registry()
+        .update_dirty("h", DirtySet::from_ids([0, 2]), |net| {
+            let e = net.add_edge(NodeId(0), NodeId(2));
+            net.set_edge_attr(e, "d", 10.0);
+        })
+        .unwrap();
+    let resp = svc.submit(&req).unwrap();
+    assert_matches_flat_ecf(&svc, &req, &resp);
+    assert_eq!(resp.stats.hierarchy_cache_hits, 0);
+    assert_eq!(svc.hierarchy_cache().misses(), 2);
+    assert_eq!(svc.hierarchy_cache().patches(), 0);
+    assert_eq!(svc.hierarchy_cache().patch_rebuilds(), 1);
+    assert_eq!(svc.telemetry().hierarchy_patch_rebuilds, 1);
+}
+
+/// An untracked update leaves no dirty window to classify: the
+/// coarsening is rebuilt without a patch attempt.
+#[test]
+fn untracked_update_rebuilds_the_hierarchy() {
+    let svc = NetEmbedService::new();
+    svc.registry().register("h", path_host());
+    let req = hier_request("h");
+    svc.submit(&req).unwrap();
+
+    svc.registry()
+        .update("h", |net| net.set_node_attr(NodeId(3), "cpu", 1.0))
+        .unwrap();
+    let resp = svc.submit(&req).unwrap();
+    assert_matches_flat_ecf(&svc, &req, &resp);
+    assert_eq!(resp.stats.hierarchy_cache_hits, 0);
+    assert_eq!(svc.hierarchy_cache().misses(), 2);
+    assert_eq!(svc.hierarchy_cache().patches(), 0);
+    assert_eq!(svc.hierarchy_cache().patch_rebuilds(), 0);
 }
 
 /// Regression: removing a model must drop its cached filters with it —
