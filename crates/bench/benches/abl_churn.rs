@@ -26,8 +26,9 @@
 //! (the cold build only) with `patches == rounds` on the patch row,
 //! against `misses == 1 + rounds` on the rebuild row.
 //!
-//! Results land in `BENCH_churn.json` at the workspace root
-//! (committed, like `BENCH_scale.json`). Run with:
+//! The report is printed to stdout; end-to-end churn numbers under a
+//! realistic request mix come from perfbench's monitor-churn workload
+//! (`submit.{promote,patch,rebuild}_us`). Run with:
 //!
 //! ```text
 //! cargo bench -p bench --bench abl_churn
@@ -37,7 +38,6 @@ use netembed::{Options, SearchMode};
 use netgraph::{Direction, Network, NodeId};
 use service::{DirtySet, NetEmbedService, QueryRequest};
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Removal-only churn commits per mode (one host link degraded per
@@ -87,7 +87,7 @@ fn run_mode(
     discipline: Discipline,
     host: &Network,
     victims: &[(NodeId, NodeId)],
-) -> Row {
+) {
     let svc = NetEmbedService::new();
     svc.registry().register("dc", host.clone());
     let req = QueryRequest {
@@ -185,42 +185,6 @@ fn run_mode(
         row.promotions,
         row.patch_rebuilds,
     );
-    row
-}
-
-fn write_json(nr: usize, nedges: usize, rows: &[Row], path: &PathBuf) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"abl_churn\",\n");
-    out.push_str("  \"unit\": \"ns\",\n");
-    out.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
-    out.push_str(&format!("  \"host_nodes\": {nr},\n"));
-    out.push_str(&format!("  \"host_edges\": {nedges},\n"));
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str("  \"modes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"rounds\": {}, \"cold_submit_ns\": {}, \
-             \"median_warm_submit_ns\": {}, \"p90_warm_submit_ns\": {}, \
-             \"hits\": {}, \"misses\": {}, \"patches\": {}, \"promotions\": {}, \
-             \"patch_rebuilds\": {}}}{}\n",
-            r.mode,
-            r.rounds,
-            r.cold_submit_ns,
-            r.median_warm_ns,
-            r.p90_warm_ns,
-            r.hits,
-            r.misses,
-            r.patches,
-            r.promotions,
-            r.patch_rebuilds,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_churn.json");
 }
 
 fn main() {
@@ -248,14 +212,12 @@ fn main() {
         .collect();
     assert!(victims.len() >= ROUNDS, "enough host links to churn");
 
-    let (nr, nedges) = (host.node_count(), host.edge_count());
-    let rows = vec![
-        run_mode("promote", Discipline::Promote, &host, &victims),
-        run_mode("patch", Discipline::Patch, &host, &victims),
-        run_mode("rebuild", Discipline::Rebuild, &host, &victims),
-    ];
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_churn.json");
-    write_json(nr, nedges, &rows, &path);
-    println!("\nwrote {}", path.display());
+    println!(
+        "fat tree: {} nodes, {} links, {ROUNDS} removal-only rounds per mode",
+        host.node_count(),
+        host.edge_count()
+    );
+    run_mode("promote", Discipline::Promote, &host, &victims);
+    run_mode("patch", Discipline::Patch, &host, &victims);
+    run_mode("rebuild", Discipline::Rebuild, &host, &victims);
 }

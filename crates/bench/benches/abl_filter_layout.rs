@@ -51,7 +51,7 @@
 //! cargo bench -p bench --bench abl_filter_layout
 //! ```
 
-use bench::{bench_brite, bench_planetlab, planted};
+use bench::{bench_brite, bench_planetlab, planted, write_report, Field, Json};
 use netembed::filter::reference::{self, HashFilterMatrix};
 use netembed::order::{compute_order, predecessors};
 use netembed::{
@@ -61,7 +61,7 @@ use netembed::{
 use netgraph::Network;
 use service::{NetEmbedService, QueryRequest};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 use topogen::{clique_query, QueryWorkload};
 
@@ -402,81 +402,69 @@ fn skew_scenario(spokes: usize, leaves: usize) -> (Network, QueryWorkload) {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(rows: &[Row], path: &PathBuf) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"abl_filter_layout\",\n");
-    out.push_str("  \"unit\": \"ns (median)\",\n");
-    out.push_str(&format!("  \"samples\": {SAMPLES},\n"));
-    out.push_str(&format!("  \"match_cap\": {MATCH_CAP},\n"));
-    out.push_str(&format!("  \"build_par_threads\": {PAR_THREADS},\n"));
-    out.push_str(&format!("  \"steal_workers\": {STEAL_WORKERS},\n"));
-    out.push_str(&format!("  \"planner_clients\": {PLANNER_CLIENTS},\n"));
+fn write_json(rows: &[Row], path: &Path) {
     // The shard count the planner series ran with: the default-config
     // resolution (NETEMBED_PLANNER_SHARDS, else one lane per core up
     // to 8), recorded so cross-machine numbers stay comparable.
     let planner_shards = NetEmbedService::new().planner_shards();
-    out.push_str(&format!("  \"planner_shards\": {planner_shards},\n"));
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"nq\": {}, \"nr\": {}, \"solutions\": {}, \
-             \"build_hashmap_ns\": {}, \"build_csr_ns\": {}, \"build_par_ns\": {}, \
-             \"search_hashmap_ns\": {}, \"search_csr_ns\": {}, \"search_scratch_ns\": {}, \
-             \"search_par_ns\": {}, \"search_steal_ns\": {}, \
-             \"search_pool_cold_ns\": {}, \"search_pool_warm_ns\": {}, \
-             \"planner_coalesce_ns\": {}, \"submit_concurrent_ns\": {}, \
-             \"embed_hashmap_ns\": {}, \"embed_csr_ns\": {}, \
-             \"build_speedup\": {:.3}, \"build_par_speedup\": {:.3}, \
-             \"search_speedup\": {:.3}, \"scratch_speedup\": {:.3}, \
-             \"steal_overhead\": {:.3}, \"pool_warm_speedup\": {:.3}, \
-             \"coalesce_speedup\": {:.3}, \
-             \"embed_speedup\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            r.nq,
-            r.nr,
-            r.solutions,
-            r.build_hash_ns,
-            r.build_csr_ns,
-            r.build_par_ns,
-            r.search_hash_ns,
-            r.search_csr_ns,
-            r.search_scratch_ns,
-            r.search_par_ns,
-            r.search_steal_ns,
-            r.pool_cold_ns,
-            r.pool_warm_ns,
-            r.planner_coalesce_ns,
-            r.submit_concurrent_ns,
-            r.embed_hash_ns,
-            r.embed_csr_ns,
-            r.build_hash_ns as f64 / r.build_csr_ns.max(1) as f64,
-            r.build_csr_ns as f64 / r.build_par_ns.max(1) as f64,
-            r.search_hash_ns as f64 / r.search_csr_ns.max(1) as f64,
-            r.search_csr_ns as f64 / r.search_scratch_ns.max(1) as f64,
-            // > 1.0 means stealing cost that much more wall time than the
-            // static partition *on this machine* — see host_cores.
-            r.search_steal_ns as f64 / r.search_par_ns.max(1) as f64,
-            // > 1.0 means the warm persistent pool saved that factor of
-            // wall time over per-run thread spawns.
-            r.pool_cold_ns as f64 / r.pool_warm_ns.max(1) as f64,
-            // > 1.0 means the coalescing planner beat independent
-            // concurrent submits for a cold-epoch burst of
-            // planner_clients identical requests.
-            r.submit_concurrent_ns as f64 / r.planner_coalesce_ns.max(1) as f64,
-            r.embed_hash_ns as f64 / r.embed_csr_ns.max(1) as f64,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_filter.json");
+    let header = [
+        ("bench", Json::Str("abl_filter_layout".into())),
+        ("unit", Json::Str("ns (median)".into())),
+        ("samples", Json::Int(SAMPLES as u64)),
+        ("match_cap", Json::Int(MATCH_CAP as u64)),
+        ("build_par_threads", Json::Int(PAR_THREADS as u64)),
+        ("steal_workers", Json::Int(STEAL_WORKERS as u64)),
+        ("planner_clients", Json::Int(PLANNER_CLIENTS as u64)),
+        ("planner_shards", Json::Int(planner_shards as u64)),
+    ];
+    let ratio = |num: u64, den: u64| Json::Fixed(num as f64 / den.max(1) as f64, 3);
+    let rows: Vec<Vec<Field>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("name", Json::Str(r.name.clone())),
+                ("nq", Json::Int(r.nq as u64)),
+                ("nr", Json::Int(r.nr as u64)),
+                ("solutions", Json::Int(r.solutions as u64)),
+                ("build_hashmap_ns", Json::Int(r.build_hash_ns)),
+                ("build_csr_ns", Json::Int(r.build_csr_ns)),
+                ("build_par_ns", Json::Int(r.build_par_ns)),
+                ("search_hashmap_ns", Json::Int(r.search_hash_ns)),
+                ("search_csr_ns", Json::Int(r.search_csr_ns)),
+                ("search_scratch_ns", Json::Int(r.search_scratch_ns)),
+                ("search_par_ns", Json::Int(r.search_par_ns)),
+                ("search_steal_ns", Json::Int(r.search_steal_ns)),
+                ("search_pool_cold_ns", Json::Int(r.pool_cold_ns)),
+                ("search_pool_warm_ns", Json::Int(r.pool_warm_ns)),
+                ("planner_coalesce_ns", Json::Int(r.planner_coalesce_ns)),
+                ("submit_concurrent_ns", Json::Int(r.submit_concurrent_ns)),
+                ("embed_hashmap_ns", Json::Int(r.embed_hash_ns)),
+                ("embed_csr_ns", Json::Int(r.embed_csr_ns)),
+                ("build_speedup", ratio(r.build_hash_ns, r.build_csr_ns)),
+                ("build_par_speedup", ratio(r.build_csr_ns, r.build_par_ns)),
+                ("search_speedup", ratio(r.search_hash_ns, r.search_csr_ns)),
+                (
+                    "scratch_speedup",
+                    ratio(r.search_csr_ns, r.search_scratch_ns),
+                ),
+                // > 1.0 means stealing cost that much more wall time than
+                // the static partition *on this machine* — see host_cores.
+                ("steal_overhead", ratio(r.search_steal_ns, r.search_par_ns)),
+                // > 1.0 means the warm persistent pool saved that factor
+                // of wall time over per-run thread spawns.
+                ("pool_warm_speedup", ratio(r.pool_cold_ns, r.pool_warm_ns)),
+                // > 1.0 means the coalescing planner beat independent
+                // concurrent submits for a cold-epoch burst of
+                // planner_clients identical requests.
+                (
+                    "coalesce_speedup",
+                    ratio(r.submit_concurrent_ns, r.planner_coalesce_ns),
+                ),
+                ("embed_speedup", ratio(r.embed_hash_ns, r.embed_csr_ns)),
+            ]
+        })
+        .collect();
+    write_report(path, &header, &rows);
 }
 
 fn main() {

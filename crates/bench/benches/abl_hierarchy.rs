@@ -34,13 +34,14 @@
 //! cargo bench -p bench --bench abl_hierarchy
 //! ```
 
+use bench::{write_report, Field, Json};
 use netembed::{
     Algorithm, EmbedScratch, Engine, HierarchySpec, Options, Outcome, Problem, SearchMode,
     SubstrateHierarchy,
 };
 use netgraph::{Direction, Network};
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Samples per timed series (median reported). The scale rows run
@@ -203,61 +204,56 @@ fn run_scenario(name: &str, host: Network, query: Network, constraint: &str) -> 
     row
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(rows: &[Row], path: &PathBuf) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"abl_hierarchy\",\n");
-    out.push_str("  \"unit\": \"ns (median)\",\n");
-    out.push_str(&format!("  \"samples\": {SAMPLES},\n"));
-    out.push_str(&format!(
-        "  \"scale_budget_ms\": {},\n",
-        SCALE_BUDGET.as_millis()
-    ));
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sizes = r
-            .level_sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"nq\": {}, \"nr\": {}, \"levels\": {}, \
-             \"level_sizes\": [{}], \
-             \"expanded_cells\": {}, \"full_cells\": {}, \"expanded_ratio\": {:.6}, \
-             \"pruned_subtrees\": {}, \"abstract_evals\": {}, \"flat_evals\": {}, \
-             \"hier_build_ns\": {}, \"flat_run_ns\": {}, \"hier_run_ns\": {}, \
-             \"run_speedup\": {:.3}, \
-             \"flat_budget_outcome\": \"{}\", \"hier_budget_outcome\": \"{}\"}}{}\n",
-            json_escape(&r.name),
-            r.nq,
-            r.nr,
-            r.levels,
-            sizes,
-            r.expanded_cells,
-            r.full_cells,
-            r.expanded_cells as f64 / r.full_cells.max(1) as f64,
-            r.pruned,
-            r.abstract_evals,
-            r.flat_evals,
-            r.hier_build_ns,
-            r.flat_run_ns,
-            r.hier_run_ns,
-            r.flat_run_ns as f64 / r.hier_run_ns.max(1) as f64,
-            json_escape(&r.flat_budget_outcome),
-            json_escape(&r.hier_budget_outcome),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_scale.json");
+fn write_json(rows: &[Row], path: &Path) {
+    let header = [
+        ("bench", Json::Str("abl_hierarchy".into())),
+        ("unit", Json::Str("ns (median)".into())),
+        ("samples", Json::Int(SAMPLES as u64)),
+        (
+            "scale_budget_ms",
+            Json::Int(SCALE_BUDGET.as_millis() as u64),
+        ),
+    ];
+    let rows: Vec<Vec<Field>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("name", Json::Str(r.name.clone())),
+                ("nq", Json::Int(r.nq as u64)),
+                ("nr", Json::Int(r.nr as u64)),
+                ("levels", Json::Int(r.levels)),
+                (
+                    "level_sizes",
+                    Json::Ints(r.level_sizes.iter().map(|&s| s as u64).collect()),
+                ),
+                ("expanded_cells", Json::Int(r.expanded_cells)),
+                ("full_cells", Json::Int(r.full_cells)),
+                (
+                    "expanded_ratio",
+                    Json::Fixed(r.expanded_cells as f64 / r.full_cells.max(1) as f64, 6),
+                ),
+                ("pruned_subtrees", Json::Int(r.pruned)),
+                ("abstract_evals", Json::Int(r.abstract_evals)),
+                ("flat_evals", Json::Int(r.flat_evals)),
+                ("hier_build_ns", Json::Int(r.hier_build_ns)),
+                ("flat_run_ns", Json::Int(r.flat_run_ns)),
+                ("hier_run_ns", Json::Int(r.hier_run_ns)),
+                (
+                    "run_speedup",
+                    Json::Fixed(r.flat_run_ns as f64 / r.hier_run_ns.max(1) as f64, 3),
+                ),
+                (
+                    "flat_budget_outcome",
+                    Json::Str(r.flat_budget_outcome.clone()),
+                ),
+                (
+                    "hier_budget_outcome",
+                    Json::Str(r.hier_budget_outcome.clone()),
+                ),
+            ]
+        })
+        .collect();
+    write_report(path, &header, &rows);
 }
 
 fn main() {

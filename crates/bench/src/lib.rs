@@ -9,6 +9,8 @@
 
 use netembed::{Algorithm, Engine, Options, SearchMode};
 use netgraph::Network;
+use std::fmt;
+use std::path::Path;
 use std::time::Duration;
 use topogen::{subgraph_query, PlanetlabParams, QueryWorkload, SubgraphParams};
 
@@ -63,4 +65,90 @@ pub fn embed_once(
         .embed(&wl.query, &wl.constraint, &options)
         .map(|r| r.mappings.len())
         .unwrap_or(0)
+}
+
+/// One value in a bench JSON report.
+pub enum Json {
+    /// Integer count or nanosecond time.
+    Int(u64),
+    /// Ratio printed with a fixed number of decimals.
+    Fixed(f64, usize),
+    /// String, escaped on output.
+    Str(String),
+    /// Integer array.
+    Ints(Vec<u64>),
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Int(v) => write!(f, "{v}"),
+            Json::Fixed(v, decimals) => write!(f, "{v:.decimals$}"),
+            Json::Str(s) => write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+            Json::Ints(vs) => {
+                let items: Vec<String> = vs.iter().map(u64::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+        }
+    }
+}
+
+/// A named field of a report header or row.
+pub type Field = (&'static str, Json);
+
+/// The report [`write_report`] writes, for `host_cores` cores.
+fn render_report(header: &[Field], host_cores: usize, rows: &[Vec<Field>]) -> String {
+    let mut out = String::from("{\n");
+    for (key, value) in header {
+        out.push_str(&format!("  \"{key}\": {value},\n"));
+    }
+    out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
+    out.push_str("  \"scenarios\": [\n");
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("    {{{}}}", fields.join(", "))
+        })
+        .collect();
+    out.push_str(&lines.join(",\n"));
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// Write a bench report to `path`: one `"key": value` line per header
+/// field, then this machine's `host_cores`, then the `rows` as a
+/// `"scenarios"` array with one JSON object per line.
+pub fn write_report(path: &Path, header: &[Field], rows: &[Vec<Field>]) {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let out = render_report(header, cores, rows);
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_keeps_the_committed_layout() {
+        let header = [
+            ("bench", Json::Str("abl_x".into())),
+            ("samples", Json::Int(9)),
+        ];
+        let row = |name: &str, ratio: f64| {
+            vec![
+                ("name", Json::Str(name.into())),
+                ("level_sizes", Json::Ints(vec![4, 2])),
+                ("ratio", Json::Fixed(ratio, 3)),
+            ]
+        };
+        let got = render_report(&header, 2, &[row("a\"b", 1.0), row("c", 0.12345)]);
+        let want = "{\n  \"bench\": \"abl_x\",\n  \"samples\": 9,\n  \"host_cores\": 2,\n  \
+                    \"scenarios\": [\n    \
+                    {\"name\": \"a\\\"b\", \"level_sizes\": [4, 2], \"ratio\": 1.000},\n    \
+                    {\"name\": \"c\", \"level_sizes\": [4, 2], \"ratio\": 0.123}\n  ]\n}\n";
+        assert_eq!(got, want);
+    }
 }

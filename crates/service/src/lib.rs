@@ -21,10 +21,10 @@
 //!    requirement-adjustment loop is [`NetEmbedService::negotiate`];
 //! 3. an optional **resource reservation system** that adjusts the model
 //!    when mappings are allocated → [`reservation::ReservationManager`].
-//!    A reservation commit goes through [`ModelRegistry::update`], so it
-//!    bumps the host's epoch and thereby invalidates exactly that host's
-//!    cached filters — in-flight prepared queries pick up the new model
-//!    (and rebuild once) on their next run.
+//!    A reservation commit goes through [`ModelRegistry::update_dirty`]
+//!    with the reserved nodes as its [`DirtySet`]: it bumps the host's
+//!    epoch, and the next run patches that host's cached filter in place
+//!    unless the commit admitted a candidate; other hosts stay hot.
 //!
 //! Every mapping handed to a client is re-validated with
 //! [`netembed::check_mapping`] against the same compiled problem the
@@ -75,7 +75,11 @@
 //!    for the winner instead of rebuilding —
 //!    [`SearchStats::dedup_waits`](netembed::SearchStats)).
 //!
-//! Beside the pool layer sits the **HIERARCHY** layer, engaged when a
+//! Beside the pool layer sits the **HIERARCHY** layer — the paper's
+//! §VIII direction: *"for truly large-scale networks, a complete view
+//! of the network may not be available to a single domain … we are
+//! currently looking into a hierarchical approach to a decentralized
+//! implementation of NETEMBED."* It is engaged when a
 //! request's [`Options::hierarchy`](netembed::Options) is set: the
 //! host substrate is coarsened once into a multilevel
 //! [`SubstrateHierarchy`](netembed::SubstrateHierarchy) — cached per
@@ -100,7 +104,9 @@
 //! update re-coarsens. Hierarchical runs bypass
 //! the filter cache on purpose: the restricted matrix is a product of
 //! per-query refinement, and memoizing it under the flat key would
-//! collide full and restricted builds.
+//! collide full and restricted builds. Region-first placement is a
+//! constraint relaxed by [`NetEmbedService::negotiate`], not a serving
+//! path of its own (see [`negotiate`]).
 //!
 //! Underneath the four request layers sits the **FEED** layer: the
 //! model side of every request. In production shape, registry
@@ -250,7 +256,6 @@ pub mod cache;
 pub mod feed;
 pub mod monitor;
 pub mod negotiate;
-pub mod partition;
 pub mod planner;
 pub mod prepared;
 pub mod registry;
@@ -269,8 +274,7 @@ pub use feed::{
     RegistryDelta, RegistryFeed, SnapshotSource,
 };
 pub use monitor::{MonitorParams, MonitorSim};
-pub use negotiate::{negotiate, NegotiationOutcome};
-pub use partition::{Locality, PartitionedHost, PartitionedResponse};
+pub use negotiate::NegotiationOutcome;
 pub use planner::{PlannedRequest, Planner, Ticket};
 pub use prepared::PreparedQuery;
 pub use registry::{DirtySet, ModelEpoch, ModelRegistry};

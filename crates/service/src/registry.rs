@@ -13,7 +13,7 @@
 //! ## Epoch semantics
 //!
 //! Every mutation — [`ModelRegistry::register`],
-//! [`ModelRegistry::update`] (the reservation system's commit hook), a
+//! [`ModelRegistry::update`], [`ModelRegistry::update_dirty`], a
 //! remove-and-re-register — stamps the affected entry with a fresh epoch
 //! drawn from one registry-wide monotonic counter. Consequences callers
 //! rely on:
@@ -28,17 +28,19 @@
 //!
 //! ## Dirty-node history
 //!
-//! Feed-driven mutations ([`ModelRegistry::update_dirty`], used by
-//! [`crate::feed::RegistryFeed`]) additionally record *which host nodes*
-//! each epoch transition touched. [`ModelRegistry::dirty_between`]
-//! composes those per-transition [`DirtySet`]s into the union of
-//! everything dirtied between two epochs — the contract the
-//! [`FilterCache`](crate::cache::FilterCache)'s epoch-promotion path
-//! (and, per the ROADMAP, future in-place `FilterMatrix` patching)
-//! builds on. Untracked mutations ([`ModelRegistry::update`],
-//! [`ModelRegistry::register`]) deliberately *break* the transition
-//! chain: `dirty_between` across them returns `None`, which downstream
-//! consumers must treat as "anything may have changed" (full rebuild).
+//! Tracked mutations ([`ModelRegistry::update_dirty`], used by
+//! [`crate::feed::RegistryFeed`] and the
+//! [`ReservationManager`](crate::ReservationManager)) additionally
+//! record *which host nodes* each epoch transition touched.
+//! [`ModelRegistry::dirty_between`] composes those per-transition
+//! [`DirtySet`]s into the union of everything dirtied between two
+//! epochs — the contract the
+//! [`FilterCache`](crate::cache::FilterCache)'s epoch promotion and
+//! in-place patching build on. Untracked mutations
+//! ([`ModelRegistry::update`], [`ModelRegistry::register`])
+//! deliberately *break* the transition chain: `dirty_between` across
+//! them returns `None`, which downstream consumers must treat as
+//! "anything may have changed" (full rebuild).
 
 use netgraph::{Network, NodeBitSet, NodeId};
 use parking_lot::RwLock;
@@ -217,21 +219,12 @@ impl ModelRegistry {
 
     /// Apply `update` to a copy of the current model and atomically swap
     /// the result in under a fresh epoch, which is returned. `None` when
-    /// `name` is unknown. This is the reservation system's hook (§III
-    /// component 3): allocate → adjust → epoch bump (which invalidates
-    /// exactly this host's cached filters). Untracked: the transition
-    /// carries no dirty set, so [`ModelRegistry::dirty_between`] across
-    /// it reports `None`.
+    /// `name` is unknown. Untracked: the transition carries no dirty
+    /// set, so [`ModelRegistry::dirty_between`] across it reports `None`
+    /// and everything derived from the host rebuilds. Commits that know
+    /// their touched nodes use [`ModelRegistry::update_dirty`].
     pub fn update(&self, name: &str, update: impl FnOnce(&mut Network)) -> Option<ModelEpoch> {
-        let mut guard = self.models.write();
-        let entry = guard.get(name)?;
-        let mut copy = (*entry.model).clone();
-        update(&mut copy);
-        let epoch = self.next_epoch();
-        let entry = guard.get_mut(name).expect("entry probed above");
-        entry.model = Arc::new(copy);
-        entry.epoch = epoch;
-        Some(epoch)
+        self.commit(name, None, update).map(|(_, to)| to)
     }
 
     /// [`ModelRegistry::update`] with a recorded [`DirtySet`]: applies
@@ -249,18 +242,31 @@ impl ModelRegistry {
         dirty: DirtySet,
         update: impl FnOnce(&mut Network),
     ) -> Option<(ModelEpoch, ModelEpoch)> {
+        self.commit(name, Some(dirty), update)
+    }
+
+    /// The one commit body: clone the current model, apply `update`,
+    /// swap the copy in under an epoch minted inside the write lock,
+    /// and record the transition when its dirty set is known.
+    fn commit(
+        &self,
+        name: &str,
+        dirty: Option<DirtySet>,
+        update: impl FnOnce(&mut Network),
+    ) -> Option<(ModelEpoch, ModelEpoch)> {
         let mut guard = self.models.write();
-        let entry = guard.get(name)?;
-        let from = entry.epoch;
+        let entry = guard.get_mut(name)?;
         let mut copy = (*entry.model).clone();
         update(&mut copy);
+        let from = entry.epoch;
         let to = self.next_epoch();
-        let entry = guard.get_mut(name).expect("entry probed above");
         entry.model = Arc::new(copy);
         entry.epoch = to;
-        entry.history.push_back(Transition { from, to, dirty });
-        if entry.history.len() > DIRTY_HISTORY_CAP {
-            entry.history.pop_front();
+        if let Some(dirty) = dirty {
+            entry.history.push_back(Transition { from, to, dirty });
+            if entry.history.len() > DIRTY_HISTORY_CAP {
+                entry.history.pop_front();
+            }
         }
         Some((from, to))
     }

@@ -6,14 +6,17 @@
 //! `cpu`, `mem`). Reserving a mapping atomically decrements, on every host
 //! node in the image, the capacities demanded by the query node mapped to
 //! it (the query node's value for the same attribute); releasing restores
-//! them. Updated models flow back into the [`crate::ModelRegistry`], so
-//! subsequent queries see the reduced capacities.
+//! them. Each adjustment is one tracked commit into the
+//! [`crate::ModelRegistry`] ([`ModelRegistry::update_dirty`], the
+//! deduction nodes dirty), so subsequent queries see the new capacities
+//! and the host's cached filters are repaired rather than rebuilt.
 
-use crate::registry::ModelRegistry;
+use crate::registry::{DirtySet, ModelRegistry};
 use netembed::Mapping;
 use netgraph::{AttrValue, Network, NodeId};
 use parking_lot::Mutex;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A committed reservation (needed to release).
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +72,7 @@ impl std::error::Error for ReservationError {}
 /// Tracks active reservations against registry models.
 pub struct ReservationManager {
     active: Mutex<Vec<Reservation>>,
-    next_ticket: Mutex<u64>,
+    next_ticket: AtomicU64,
 }
 
 impl ReservationManager {
@@ -77,7 +80,7 @@ impl ReservationManager {
     pub fn new() -> Self {
         ReservationManager {
             active: Mutex::new(Vec::new()),
-            next_ticket: Mutex::new(1),
+            next_ticket: AtomicU64::new(1),
         }
     }
 
@@ -133,31 +136,15 @@ impl ReservationManager {
             }
         }
 
-        // Commit atomically through the registry; the commit bumps the
-        // host's model epoch, invalidating exactly this host's cached
-        // filters (§III component 3: allocate → adjust).
-        let committed = registry.update(host_name, |net| {
-            for (node, attr, amount) in &deductions {
-                let current = net
-                    .node_attr_by_name(*node, attr)
-                    .and_then(AttrValue::as_num)
-                    .unwrap_or(0.0);
-                net.set_node_attr(*node, attr, current - amount);
-            }
-        });
-        if committed.is_none() {
+        // Commit atomically through the registry (§III component 3:
+        // allocate → adjust).
+        if !adjust(registry, host_name, &deductions, -1.0) {
             return Err(ReservationError::UnknownHost(host_name.to_string()));
         }
 
-        let ticket = {
-            let mut t = self.next_ticket.lock();
-            let ticket = *t;
-            *t += 1;
-            ticket
-        };
         let reservation = Reservation {
             host: host_name.to_string(),
-            ticket,
+            ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed),
             deductions,
         };
         self.active.lock().push(reservation.clone());
@@ -174,16 +161,7 @@ impl ReservationManager {
                 .ok_or(ReservationError::UnknownTicket(ticket))?;
             active.swap_remove(idx)
         };
-        let restored = registry.update(&reservation.host, |net| {
-            for (node, attr, amount) in &reservation.deductions {
-                let current = net
-                    .node_attr_by_name(*node, attr)
-                    .and_then(AttrValue::as_num)
-                    .unwrap_or(0.0);
-                net.set_node_attr(*node, attr, current + amount);
-            }
-        });
-        if restored.is_none() {
+        if !adjust(registry, &reservation.host, &reservation.deductions, 1.0) {
             return Err(ReservationError::UnknownHost(reservation.host));
         }
         Ok(())
@@ -193,6 +171,29 @@ impl ReservationManager {
     pub fn active_count(&self) -> usize {
         self.active.lock().len()
     }
+}
+
+/// Add `sign × amount` to every deduction's attribute in one tracked
+/// commit whose dirty set is the deduction nodes. `false` when `host`
+/// is unknown.
+fn adjust(
+    registry: &ModelRegistry,
+    host: &str,
+    deductions: &[(NodeId, String, f64)],
+    sign: f64,
+) -> bool {
+    let dirty = DirtySet::from_ids(deductions.iter().map(|(node, _, _)| node.0));
+    registry
+        .update_dirty(host, dirty, |net| {
+            for (node, attr, amount) in deductions {
+                let current = net
+                    .node_attr_by_name(*node, attr)
+                    .and_then(AttrValue::as_num)
+                    .unwrap_or(0.0);
+                net.set_node_attr(*node, attr, current + sign * amount);
+            }
+        })
+        .is_some()
 }
 
 impl Default for ReservationManager {

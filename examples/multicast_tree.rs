@@ -10,11 +10,11 @@
 //! leaf budget is infeasible we relax it via the negotiation loop
 //! (§VI-B's "begin with more stringent constraints and relax them").
 //!
-//! Run with: `cargo run -p harness --release --example multicast_tree`
+//! Run with: `cargo run -p netembed-suite --release --example multicast_tree`
 
 use netembed::{Algorithm, Options, SearchMode};
 use netgraph::{AttrValue, Direction, Network};
-use service::{negotiate, NegotiationOutcome};
+use service::{NegotiationOutcome, NetEmbedService};
 use topogen::{planetlab_like, PlanetlabParams};
 
 fn main() {
@@ -70,7 +70,12 @@ fn main() {
 
     // Try leaf budgets from aggressive to generous.
     let budgets = [5.0, 10.0, 20.0, 40.0, 75.0];
-    match negotiate(&host, &tree, &budgets, &options, template).expect("valid constraints") {
+    let svc = NetEmbedService::new();
+    svc.registry().register("overlay", host.clone());
+    match svc
+        .negotiate("overlay", &tree, &budgets, &options, template)
+        .expect("valid constraints")
+    {
         NegotiationOutcome::Satisfied {
             level, mappings, ..
         } => {

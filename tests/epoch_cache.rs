@@ -5,9 +5,10 @@
 //! snapshot, at every tested worker count; and a model mutation —
 //! `registry.update` or a reservation commit — must invalidate exactly
 //! the affected host's entries, leaving sibling hosts' cached filters
-//! hot.
+//! hot. A reservation commit is tracked, so the affected host's filter
+//! is patched in place rather than rebuilt.
 
-use netembed::{Algorithm, Deadline, FilterMatrix, Options, Problem, SearchStats};
+use netembed::{Algorithm, Deadline, Engine, FilterMatrix, Mapping, Options, Problem, SearchStats};
 use netgraph::{Direction, Network, NodeId};
 use proptest::prelude::*;
 use service::cache::network_fingerprint;
@@ -64,6 +65,13 @@ fn fresh_filter(query: &Network, host: &Network, constraint: &str) -> FilterMatr
     let mut dl = Deadline::unlimited();
     let mut stats = SearchStats::default();
     FilterMatrix::build(&problem, &mut dl, &mut stats).expect("unlimited build")
+}
+
+/// Sorted host-id vectors of `mappings`.
+fn mapping_set(mappings: &[Mapping]) -> Vec<Vec<NodeId>> {
+    let mut out: Vec<Vec<NodeId>> = mappings.iter().map(|m| m.as_slice().to_vec()).collect();
+    out.sort();
+    out
 }
 
 fn request(host: &str, query: &Network, constraint: &str, threads: usize) -> QueryRequest {
@@ -288,9 +296,10 @@ fn inflight_build_completed_after_remove_model_stays_dead() {
     assert!(svc.cache().lookup(&key).is_none());
 }
 
-/// A reservation commit is a registry update: it must invalidate the
-/// reserved host's filters (capacity dropped — cached candidates would
-/// be wrong) while leaving other hosts' entries hot.
+/// A reservation commit is a tracked registry update: the reserved
+/// host's filter must not be served as it was (capacity dropped —
+/// cached candidates would be wrong) but is patched in place, while
+/// other hosts' entries stay hot.
 #[test]
 fn reservation_commit_invalidates_reserved_host_only() {
     let mut host = Network::new(Direction::Undirected);
@@ -337,8 +346,10 @@ fn reservation_commit_invalidates_reserved_host_only() {
             )
             .unwrap();
 
-        // Staging still hits; prod rebuilds against the reduced model
-        // (and the answer reflects the reservation: fewer placements).
+        // Staging still hits; prod repairs its filter in place against
+        // the reduced model (the tracked commit is removal-only) and the
+        // answer reflects the reservation: fewer placements, exactly the
+        // flat ECF set at the new epoch.
         let staging_warm = svc
             .submit(&request("staging", &query, constraint, threads))
             .unwrap();
@@ -346,16 +357,30 @@ fn reservation_commit_invalidates_reserved_host_only() {
             staging_warm.stats.filter_cache_hits, 1,
             "staging invalidated by prod reservation (threads {threads})"
         );
+        let misses_before = svc.cache().misses();
         let prod_after = svc
             .submit(&request("prod", &query, constraint, threads))
             .unwrap();
         assert_eq!(
-            prod_after.stats.filter_cache_hits, 0,
-            "prod served a pre-reservation filter (threads {threads})"
+            prod_after.stats.patches, 1,
+            "prod did not patch its pre-reservation filter (threads {threads})"
+        );
+        assert_eq!(
+            svc.cache().misses(),
+            misses_before,
+            "a reservation commit rebuilt prod's filter (threads {threads})"
         );
         assert!(
             prod_after.mappings().len() < prod.mappings().len(),
             "reservation must shrink the feasible set (threads {threads})"
+        );
+        let model = svc.registry().model("prod").unwrap();
+        let problem = Problem::new(&query, &model, constraint).unwrap();
+        let flat = Engine::run(&problem, &Options::default()).unwrap();
+        assert_eq!(
+            mapping_set(prod_after.mappings()),
+            mapping_set(flat.outcome.mappings()),
+            "patched answer diverges from flat ECF (threads {threads})"
         );
 
         // Release restores capacity for the next worker-count round.

@@ -1,12 +1,12 @@
 //! Integration tests for the §VIII extension features working together:
-//! link→path mapping, time-window scheduling, partitioned processing and
-//! automorphism compression.
+//! link→path mapping, time-window scheduling, region-first negotiation
+//! and automorphism compression.
 
 use netembed::automorph::{compress_orbits, query_automorphisms};
 use netembed::pathmap::{check_path_mapping, search_paths, PathPolicy};
 use netembed::{Deadline, Engine, Options};
-use netgraph::{Direction, Network, NodeId};
-use service::{Locality, PartitionedHost, Scheduler};
+use netgraph::{AttrValue, Direction, Network, NodeId};
+use service::{NegotiationOutcome, NetEmbedService, Scheduler};
 use topogen::{transit_stub, TransitStubParams};
 
 fn fabric(seed: u64) -> Network {
@@ -107,33 +107,79 @@ fn scheduler_serializes_conflicting_jobs() {
     );
 }
 
-#[test]
-fn partitioned_fabric_answers_stub_queries_locally() {
-    let host = fabric(62);
-    let partitioned = PartitionedHost::new(host, "domain");
-    // 6 stub domains + the transit "-1" region.
-    assert_eq!(partitioned.region_count(), 7);
+/// The region-first template over the transit-stub `domain`
+/// attribute: level 0 keeps every query edge inside one domain, level 1
+/// is the bare constraint.
+fn domain_first(c: &str) -> impl Fn(f64) -> String + '_ {
+    move |level| {
+        if level == 0.0 {
+            format!("({c}) && rSource.domain == rTarget.domain")
+        } else {
+            c.to_string()
+        }
+    }
+}
 
-    // An intra-LAN edge query (≤ 5ms) lives inside one stub domain.
+fn edge_query() -> Network {
     let mut q = Network::new(Direction::Undirected);
     let a = q.add_node("a");
     let b = q.add_node("b");
     q.add_edge(a, b);
-    let resp = partitioned
-        .submit(&q, "rEdge.avgDelay <= 5.0", &Options::default())
+    q
+}
+
+#[test]
+fn partitioned_fabric_answers_stub_queries_locally() {
+    let host = fabric(62);
+    let svc = NetEmbedService::new();
+    svc.registry().register("fabric", host.clone());
+    let levels = [0.0, 1.0];
+
+    // An intra-LAN edge query (≤ 5ms) lives inside one stub domain.
+    let q = edge_query();
+    let local = svc
+        .negotiate(
+            "fabric",
+            &q,
+            &levels,
+            &Options::default(),
+            domain_first("rEdge.avgDelay <= 5.0"),
+        )
+        .unwrap();
+    let NegotiationOutcome::Satisfied {
+        index: 0, mappings, ..
+    } = local
+    else {
+        panic!("intra-LAN query not satisfied at level 0: {local:?}");
+    };
+    assert!(!mappings.is_empty());
+    let domain = |r: NodeId| {
+        host.node_attr_by_name(r, "domain")
+            .and_then(AttrValue::as_num)
+    };
+    for m in &mappings {
+        let first = domain(m.as_slice()[0]);
+        assert!(first.is_some());
+        assert!(
+            m.iter().all(|(_, r)| domain(r) == first),
+            "level-0 image spans domains: {m:?}"
+        );
+    }
+
+    // A wide-area query (≥ 20ms) needs transit links: still found.
+    let wide = svc
+        .negotiate(
+            "fabric",
+            &q,
+            &levels,
+            &Options::default(),
+            domain_first("rEdge.avgDelay >= 20.0"),
+        )
         .unwrap();
     assert!(
-        matches!(resp.locality, Locality::Region(_)),
-        "{:?}",
-        resp.locality
+        matches!(wide, NegotiationOutcome::Satisfied { .. }),
+        "{wide:?}"
     );
-    assert!(resp.outcome.found_any());
-
-    // A wide-area query (≥ 20ms) needs transit links: global tier.
-    let resp = partitioned
-        .submit(&q, "rEdge.avgDelay >= 20.0", &Options::default())
-        .unwrap();
-    assert!(resp.outcome.found_any());
 }
 
 #[test]
@@ -162,24 +208,30 @@ fn automorphism_compression_matches_engine_counts() {
 
 #[test]
 fn scheduler_plus_partition_round_trip() {
-    // Schedule against the residual model of a partitioned fabric: take
-    // the model at t=0, partition it, and check both views agree on an
-    // easy query's feasibility.
+    // Schedule against the residual model of a fabric: take the model
+    // at t=0, negotiate region-first against it, and check that view
+    // agrees with flat feasibility on an easy query.
     let base = fabric(63);
     let scheduler = Scheduler::new(base.clone(), &["cpu"]);
     let model = scheduler.model_at(0);
-    let partitioned = PartitionedHost::new(model.clone(), "domain");
+    let svc = NetEmbedService::new();
+    svc.registry().register("residual", model.clone());
 
-    let mut q = Network::new(Direction::Undirected);
-    let a = q.add_node("a");
-    let b = q.add_node("b");
-    q.add_edge(a, b);
-
+    let q = edge_query();
     let flat = Engine::new(&model)
         .embed(&q, "rEdge.avgDelay <= 5.0", &Options::default())
         .unwrap();
-    let part = partitioned
-        .submit(&q, "rEdge.avgDelay <= 5.0", &Options::default())
+    let negotiated = svc
+        .negotiate(
+            "residual",
+            &q,
+            &[0.0, 1.0],
+            &Options::default(),
+            domain_first("rEdge.avgDelay <= 5.0"),
+        )
         .unwrap();
-    assert_eq!(flat.mappings.is_empty(), !part.outcome.found_any());
+    assert_eq!(
+        flat.mappings.is_empty(),
+        !matches!(negotiated, NegotiationOutcome::Satisfied { .. })
+    );
 }

@@ -4,7 +4,7 @@
 use netembed::{Algorithm, Options, SearchMode};
 use netgraph::{AttrValue, Direction, Network, NodeId};
 use service::{
-    negotiate, MonitorParams, MonitorSim, NegotiationOutcome, NetEmbedService, QueryRequest,
+    MonitorParams, MonitorSim, NegotiationOutcome, NetEmbedService, QueryRequest,
     ReservationManager,
 };
 
@@ -97,12 +97,16 @@ fn negotiation_against_service_model() {
         NegotiationOutcome::Satisfied { index, .. } => assert_eq!(index, 2),
         other => panic!("unexpected {other:?}"),
     }
-    // The free-function wrapper over a bare Network agrees.
-    let host = svc.registry().model("t").unwrap();
-    let out = negotiate(&host, &q, &[1.0, 2.0, 40.0], &Options::default(), |b| {
-        format!("rEdge.avgDelay <= {b}")
-    })
-    .unwrap();
+    // A second service holding the same model as a bare snapshot agrees.
+    let fresh = NetEmbedService::new();
+    fresh
+        .registry()
+        .register("t", (*svc.registry().model("t").unwrap()).clone());
+    let out = fresh
+        .negotiate("t", &q, &[1.0, 2.0, 40.0], &Options::default(), |b| {
+            format!("rEdge.avgDelay <= {b}")
+        })
+        .unwrap();
     assert!(matches!(
         out,
         NegotiationOutcome::Satisfied { index: 2, .. }
