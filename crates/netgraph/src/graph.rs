@@ -23,6 +23,12 @@ impl NodeId {
     }
 }
 
+impl From<u32> for NodeId {
+    fn from(raw: u32) -> Self {
+        NodeId(raw)
+    }
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)

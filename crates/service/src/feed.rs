@@ -5,10 +5,13 @@
 //! of the "incremental epoch deltas" item), not from in-process
 //! closures. [`RegistryFeed`] is that consumer: it pulls
 //! sequence-numbered [`RegistryDelta`]s from a [`DeltaStream`] and
-//! applies them through
-//! [`ModelRegistry::update_dirty`](crate::ModelRegistry::update_dirty),
-//! so every applied delta both bumps the host's epoch *and* records its
-//! dirty-node set for
+//! applies each one as a tracked registry commit, like
+//! [`ModelRegistry::update_dirty`](crate::ModelRegistry::update_dirty).
+//! The delta is validated inside that commit, against the very model it
+//! mutates, under the registry's write lock: a delta that fails leaves
+//! the model untouched, and no other writer can slip in between the
+//! check and the write. Every applied delta both bumps the host's epoch
+//! *and* records its dirty-node set for
 //! [`ModelRegistry::dirty_between`](crate::ModelRegistry::dirty_between)
 //! (which the
 //! [`FilterCache`](crate::cache::FilterCache)'s epoch-promotion path
@@ -28,9 +31,10 @@
 //! * **gaps** — a parked chain whose predecessor never arrives within
 //!   [`FeedConfig::gap_patience`] pumps, a reorder-buffer overflow, an
 //!   overlapping sequence range, or a delta that fails validation
-//!   against the live model — trigger a **resync**: a full snapshot is
-//!   re-fetched through the [`SnapshotSource`], the cursor jumps to the
-//!   snapshot's sequence, and superseded parked deltas are discarded.
+//!   against the model it would mutate — trigger a **resync**: a full
+//!   snapshot is re-fetched through the [`SnapshotSource`], the cursor
+//!   jumps to the snapshot's sequence, and superseded parked deltas are
+//!   discarded.
 //!   Failed fetches retry with exponential backoff plus deterministic
 //!   jitter ([`RegistryFeed::next_retry_in`] — the feed never sleeps
 //!   itself); once [`FeedConfig::resync_attempts`] fetches in a row
@@ -56,6 +60,7 @@
 //! deltas) and deliberately outside the identity.
 
 use crate::registry::DirtySet;
+use crate::reservation::shift;
 use crate::NetEmbedService;
 use netgraph::{AttrValue, Network, NodeId};
 use std::collections::BTreeMap;
@@ -135,15 +140,16 @@ pub struct RegistryDelta {
 }
 
 /// The structured mutations a delta can carry — the same vocabulary the
-/// in-process mutators use (attribute writes, reservation adjustments,
-/// monitor flaps, topology growth). Node references are raw ids into
-/// the host model's dense id space.
+/// in-process mutators use: attribute writes, reservation adjustments
+/// and topology growth. Node references are raw ids into the host
+/// model's dense id space.
 ///
 /// The model substrate is an append-only arena (no node/edge removal
-/// exists in `netgraph`), so [`DeltaMutation::RemoveNode`] /
-/// [`DeltaMutation::RemoveEdge`] are **logical tombstones**: they set
-/// the element's [`UP_ATTR`](crate::monitor::UP_ATTR) to `false`, the
-/// same marker the monitor simulator flaps and §VI-B constraints
+/// exists in `netgraph`), so a monitor flap or a removal is an
+/// attribute write: [`DeltaMutation::SetNodeAttr`] /
+/// [`DeltaMutation::SetEdgeAttr`] of
+/// [`UP_ATTR`](crate::monitor::UP_ATTR), `false` being the **logical
+/// tombstone** that the monitor simulator flaps and §VI-B constraints
 /// filter on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaMutation {
@@ -168,7 +174,8 @@ pub enum DeltaMutation {
         value: AttrValue,
     },
     /// A reservation commit: subtract each amount from the named
-    /// numeric node attribute (capacity deduction).
+    /// numeric node attribute (capacity deduction). Unchecked: the
+    /// producer already decided the reservation fits.
     ReservationCommit {
         /// `(node id, attribute, amount)` deductions.
         deductions: Vec<(u32, String, f64)>,
@@ -177,14 +184,6 @@ pub enum DeltaMutation {
     ReservationRelease {
         /// `(node id, attribute, amount)` restores.
         restores: Vec<(u32, String, f64)>,
-    },
-    /// A monitor observation: flip the node's
-    /// [`UP_ATTR`](crate::monitor::UP_ATTR) liveness marker.
-    MonitorTick {
-        /// Observed node id.
-        node: u32,
-        /// Whether the node is up.
-        up: bool,
     },
     /// Append a node (its id is the model's current node count; the
     /// dirty set must name that id).
@@ -199,20 +198,6 @@ pub enum DeltaMutation {
         /// Destination node id.
         dst: u32,
     },
-    /// Logically remove a node: tombstone via
-    /// [`UP_ATTR`](crate::monitor::UP_ATTR) `= false`.
-    RemoveNode {
-        /// Target node id.
-        node: u32,
-    },
-    /// Logically remove an edge: tombstone via
-    /// [`UP_ATTR`](crate::monitor::UP_ATTR) `= false` on the edge.
-    RemoveEdge {
-        /// Edge source node id.
-        src: u32,
-        /// Edge destination node id.
-        dst: u32,
-    },
 }
 
 impl DeltaMutation {
@@ -222,29 +207,24 @@ impl DeltaMutation {
     /// input.
     fn touched(&self, model: &Network) -> Vec<u32> {
         match self {
-            DeltaMutation::SetNodeAttr { node, .. }
-            | DeltaMutation::MonitorTick { node, .. }
-            | DeltaMutation::RemoveNode { node } => vec![*node],
-            DeltaMutation::SetEdgeAttr { src, dst, .. }
-            | DeltaMutation::AddEdge { src, dst }
-            | DeltaMutation::RemoveEdge { src, dst } => vec![*src, *dst],
-            DeltaMutation::ReservationCommit { deductions } => {
-                deductions.iter().map(|(n, _, _)| *n).collect()
+            DeltaMutation::SetNodeAttr { node, .. } => vec![*node],
+            DeltaMutation::SetEdgeAttr { src, dst, .. } | DeltaMutation::AddEdge { src, dst } => {
+                vec![*src, *dst]
             }
-            DeltaMutation::ReservationRelease { restores } => {
-                restores.iter().map(|(n, _, _)| *n).collect()
+            DeltaMutation::ReservationCommit { deductions: terms }
+            | DeltaMutation::ReservationRelease { restores: terms } => {
+                terms.iter().map(|(n, _, _)| *n).collect()
             }
             DeltaMutation::AddNode { .. } => vec![model.node_count() as u32],
         }
     }
 }
 
-/// Why a delta failed validation against the live model. Any of these
-/// marks the stream corrupt relative to our state and triggers a
-/// resync (counted under [`FeedTelemetry::rejected`]).
+/// Why a delta failed validation against the model it would mutate.
+/// Any of these, or an unknown host, marks the stream corrupt and
+/// triggers a resync (counted under [`FeedTelemetry::rejected`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DeltaFault {
-    UnknownHost,
     UnknownNode,
     UnknownEdge,
     DuplicateNode,
@@ -253,10 +233,11 @@ enum DeltaFault {
     DirtyUndeclared,
 }
 
-/// Validate `delta` against the live `model`: every referenced element
-/// must exist (or, for adds, must not), reservation targets must be
-/// numeric, and the declared dirty set must cover the derived touched
-/// set.
+/// Validate `delta` against `model`, the model it is about to mutate
+/// (inside the commit, under the registry's write lock): every
+/// referenced element must exist (or, for adds, must not), reservation
+/// targets must be numeric, and the declared dirty set must cover the
+/// derived touched set.
 fn validate(model: &Network, delta: &RegistryDelta) -> Result<(), DeltaFault> {
     let n = model.node_count() as u32;
     let node_ok = |id: u32| {
@@ -275,12 +256,8 @@ fn validate(model: &Network, delta: &RegistryDelta) -> Result<(), DeltaFault> {
             .ok_or(DeltaFault::UnknownEdge)
     };
     match &delta.mutation {
-        DeltaMutation::SetNodeAttr { node, .. }
-        | DeltaMutation::MonitorTick { node, .. }
-        | DeltaMutation::RemoveNode { node } => node_ok(*node)?,
-        DeltaMutation::SetEdgeAttr { src, dst, .. } | DeltaMutation::RemoveEdge { src, dst } => {
-            edge_ok(*src, *dst)?
-        }
+        DeltaMutation::SetNodeAttr { node, .. } => node_ok(*node)?,
+        DeltaMutation::SetEdgeAttr { src, dst, .. } => edge_ok(*src, *dst)?,
         DeltaMutation::ReservationCommit { deductions: adj }
         | DeltaMutation::ReservationRelease { restores: adj } => {
             for (node, attr, _) in adj {
@@ -296,13 +273,11 @@ fn validate(model: &Network, delta: &RegistryDelta) -> Result<(), DeltaFault> {
                 return Err(DeltaFault::DuplicateNode);
             }
         }
-        DeltaMutation::AddEdge { src, dst } => {
-            node_ok(*src)?;
-            node_ok(*dst)?;
-            if model.find_edge(NodeId(*src), NodeId(*dst)).is_some() {
-                return Err(DeltaFault::DuplicateEdge);
-            }
-        }
+        DeltaMutation::AddEdge { src, dst } => match edge_ok(*src, *dst) {
+            Ok(()) => return Err(DeltaFault::DuplicateEdge),
+            Err(DeltaFault::UnknownEdge) => {}
+            unknown_node => return unknown_node,
+        },
     }
     for id in delta.mutation.touched(model) {
         if !delta.dirty.contains(id) {
@@ -312,8 +287,7 @@ fn validate(model: &Network, delta: &RegistryDelta) -> Result<(), DeltaFault> {
     Ok(())
 }
 
-/// Apply a validated mutation to the model copy inside
-/// [`ModelRegistry::update_dirty`](crate::ModelRegistry::update_dirty).
+/// Apply a validated mutation to the model copy inside the commit.
 fn apply_mutation(net: &mut Network, mutation: &DeltaMutation) {
     match mutation {
         DeltaMutation::SetNodeAttr { node, attr, value } => {
@@ -330,40 +304,14 @@ fn apply_mutation(net: &mut Network, mutation: &DeltaMutation) {
                 .expect("validated edge");
             net.set_edge_attr(e, attr, value.clone());
         }
-        DeltaMutation::ReservationCommit { deductions } => {
-            adjust(net, deductions, -1.0);
-        }
-        DeltaMutation::ReservationRelease { restores } => {
-            adjust(net, restores, 1.0);
-        }
-        DeltaMutation::MonitorTick { node, up } => {
-            net.set_node_attr(NodeId(*node), crate::monitor::UP_ATTR, *up);
-        }
+        DeltaMutation::ReservationCommit { deductions } => shift(net, deductions, -1.0),
+        DeltaMutation::ReservationRelease { restores } => shift(net, restores, 1.0),
         DeltaMutation::AddNode { name } => {
             net.add_node(name.clone());
         }
         DeltaMutation::AddEdge { src, dst } => {
             net.add_edge(NodeId(*src), NodeId(*dst));
         }
-        DeltaMutation::RemoveNode { node } => {
-            net.set_node_attr(NodeId(*node), crate::monitor::UP_ATTR, false);
-        }
-        DeltaMutation::RemoveEdge { src, dst } => {
-            let e = net
-                .find_edge(NodeId(*src), NodeId(*dst))
-                .expect("validated edge");
-            net.set_edge_attr(e, crate::monitor::UP_ATTR, false);
-        }
-    }
-}
-
-fn adjust(net: &mut Network, terms: &[(u32, String, f64)], sign: f64) {
-    for (node, attr, amount) in terms {
-        let current = match net.node_attr_by_name(NodeId(*node), attr) {
-            Some(AttrValue::Num(x)) => *x,
-            _ => unreachable!("validated numeric attr"),
-        };
-        net.set_node_attr(NodeId(*node), attr, current + sign * amount);
     }
 }
 
@@ -485,8 +433,8 @@ pub struct FeedTelemetry {
     /// Deltas discarded unapplied: superseded by a resync snapshot, or
     /// overflowing the reorder buffer.
     pub discarded: u64,
-    /// Deltas that failed validation against the live model (each one
-    /// triggered a resync).
+    /// Deltas that failed validation against the model they target
+    /// (each one triggered a resync).
     pub rejected: u64,
     /// Out-of-order deltas parked right now (gauge).
     pub parked: u64,
@@ -705,23 +653,19 @@ impl<S: DeltaStream, R: SnapshotSource> RegistryFeed<S, R> {
         progressed
     }
 
-    /// Validate + apply one delta whose `base_seq` equals the cursor;
-    /// `true` advanced the cursor to its `next_seq`.
+    /// Validate + apply one delta whose `base_seq` equals the cursor,
+    /// in one commit; `true` advanced the cursor to its `next_seq`.
     fn apply_one(&mut self, svc: &NetEmbedService, delta: &RegistryDelta) -> bool {
-        let checked = match svc.registry().model(&delta.host) {
-            Some(model) => validate(&model, delta),
-            None => Err(DeltaFault::UnknownHost),
-        };
-        if checked.is_err() {
+        let committed = svc
+            .registry()
+            .commit(&delta.host, Some(delta.dirty.clone()), |net| {
+                validate(net, delta)?;
+                apply_mutation(net, &delta.mutation);
+                Ok::<_, DeltaFault>(())
+            });
+        if !matches!(committed, Some(Ok(_))) {
             return false;
         }
-        // Single-writer contract: the feed is the only mutator of the
-        // hosts it drives, so the model validated above is the model
-        // the closure below receives.
-        svc.registry()
-            .update_dirty(&delta.host, delta.dirty.clone(), |net| {
-                apply_mutation(net, &delta.mutation)
-            });
         self.cursor = delta.next_seq;
         true
     }
@@ -1070,14 +1014,23 @@ mod tests {
                 host: "m".to_string(),
                 base_seq: 2,
                 next_seq: 3,
-                mutation: DeltaMutation::RemoveNode { node: 0 },
+                mutation: DeltaMutation::SetNodeAttr {
+                    node: 0,
+                    attr: crate::monitor::UP_ATTR.to_string(),
+                    value: AttrValue::Bool(false),
+                },
                 dirty: DirtySet::from_ids([0]),
             },
             RegistryDelta {
                 host: "m".to_string(),
                 base_seq: 3,
                 next_seq: 4,
-                mutation: DeltaMutation::RemoveEdge { src: 3, dst: 4 },
+                mutation: DeltaMutation::SetEdgeAttr {
+                    src: 3,
+                    dst: 4,
+                    attr: crate::monitor::UP_ATTR.to_string(),
+                    value: AttrValue::Bool(false),
+                },
                 dirty: DirtySet::from_ids([3, 4]),
             },
             RegistryDelta {

@@ -21,10 +21,12 @@
 //!    requirement-adjustment loop is [`NetEmbedService::negotiate`];
 //! 3. an optional **resource reservation system** that adjusts the model
 //!    when mappings are allocated → [`reservation::ReservationManager`].
-//!    A reservation commit goes through [`ModelRegistry::update_dirty`]
-//!    with the reserved nodes as its [`DirtySet`]: it bumps the host's
-//!    epoch, and the next run patches that host's cached filter in place
-//!    unless the commit admitted a candidate; other hosts stay hot.
+//!    A reservation is one tracked registry commit (the reserved nodes
+//!    dirty) whose capacity check and deduction happen in one hold of
+//!    the registry's write lock, so concurrent reservations never
+//!    over-commit. It bumps the host's epoch, and the next run patches
+//!    that host's cached filter in place unless the commit admitted a
+//!    candidate; other hosts stay hot.
 //!
 //! Every mapping handed to a client is re-validated with
 //! [`netembed::check_mapping`] against the same compiled problem the

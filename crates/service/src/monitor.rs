@@ -64,10 +64,10 @@ impl MonitorSim {
     }
 
     /// Apply one measurement epoch to the named model. Returns false when
-    /// the model does not exist. The swap-in goes through
-    /// [`ModelRegistry::update`], so every tick bumps the model's
-    /// [`crate::ModelEpoch`] — downstream filter caches treat monitoring
-    /// churn exactly like any other model change.
+    /// the model does not exist. Ticks go through the untracked
+    /// [`ModelRegistry::update`] (a tick rewrites every edge's delays, so
+    /// its dirty set would be the whole host): each bumps the model's
+    /// [`crate::ModelEpoch`], and the host's cached filters rebuild.
     pub fn tick(&mut self, registry: &ModelRegistry, model: &str) -> bool {
         self.ticks += 1;
         let jitter = self.params.delay_jitter;

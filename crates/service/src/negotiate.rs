@@ -30,9 +30,11 @@
 //! For a connected query, every query edge staying inside one region
 //! means the whole image lies in one region, so
 //! `Satisfied { index: 0, .. }` is the region-local answer and
-//! `Satisfied { index: 1, .. }` the cross-region fallback. Both levels
-//! are served like any other request: cached filters, the hierarchy
-//! when [`Options::hierarchy`] is set, and mapping re-verification.
+//! `Satisfied { index: 1, .. }` the cross-region fallback; its `outcome`
+//! tells a level's full set ([`Outcome::Complete`]) from a truncated one
+//! ([`Outcome::Partial`]). Both levels are served like any other
+//! request: cached filters, the hierarchy when [`Options::hierarchy`] is
+//! set, and mapping re-verification.
 //!
 //! ```
 //! use netembed::Options;
@@ -73,20 +75,22 @@
 //! ```
 
 use crate::{NetEmbedService, ServiceError};
-use netembed::{Mapping, Options, Outcome};
+use netembed::{Options, Outcome};
 use netgraph::Network;
 
 /// Result of a negotiation run.
 #[derive(Debug, Clone)]
 pub enum NegotiationOutcome {
-    /// Satisfied at `levels[index]`; the mappings found there.
+    /// Satisfied at `levels[index]`; what the search found there.
     Satisfied {
         /// Index into the supplied levels.
         index: usize,
         /// The relaxation level value.
         level: f64,
-        /// Feasible mappings at that level.
-        mappings: Vec<Mapping>,
+        /// The level's answer: [`Outcome::Complete`] (every feasible
+        /// mapping) or [`Outcome::Partial`] (some; more may exist),
+        /// never empty.
+        outcome: Outcome,
     },
     /// Every level failed definitively (complete-empty results).
     Exhausted,
@@ -125,17 +129,15 @@ impl NetEmbedService {
             };
             let response = prepared.run(options)?;
             match response.outcome {
-                Outcome::Complete(mappings) | Outcome::Partial(mappings)
-                    if !mappings.is_empty() =>
-                {
+                Outcome::Inconclusive => {
+                    return Ok(NegotiationOutcome::Inconclusive { index });
+                }
+                outcome if outcome.found_any() => {
                     return Ok(NegotiationOutcome::Satisfied {
                         index,
                         level,
-                        mappings,
+                        outcome,
                     });
-                }
-                Outcome::Inconclusive => {
-                    return Ok(NegotiationOutcome::Inconclusive { index });
                 }
                 _ => {} // definitive empty: relax further
             }
@@ -193,11 +195,11 @@ mod tests {
             NegotiationOutcome::Satisfied {
                 index,
                 level,
-                mappings,
+                outcome,
             } => {
                 assert_eq!(index, 2);
                 assert_eq!(level, 30.0);
-                assert_eq!(mappings.len(), 2); // d=25 edge, two orientations
+                assert_eq!(outcome.mappings().len(), 2); // d=25 edge, two orientations
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -341,17 +343,18 @@ mod tests {
         let svc = service_with(two_cluster_host());
         let q = triangle_query();
         let NegotiationOutcome::Satisfied {
-            index: 0, mappings, ..
+            index: 0, outcome, ..
         } = negotiate_region_first(&svc, &q, "rEdge.d <= 10.0")
         else {
             panic!("an intra-cluster triangle must be satisfied at level 0");
         };
+        let mappings = outcome.mappings();
         assert!(!mappings.is_empty());
         // Host ids are valid in the full host; verify independently
         // against the bare constraint, and every image is one cluster.
         let full = svc.registry().model("t").unwrap();
         let problem = netembed::Problem::new(&q, &full, "rEdge.d <= 10.0").unwrap();
-        for m in &mappings {
+        for m in mappings {
             netembed::check_mapping(&problem, m).unwrap();
             let cluster = |r: NodeId| {
                 full.node_attr_by_name(r, "cluster")
@@ -369,12 +372,14 @@ mod tests {
         let q = edge_query();
         match negotiate_region_first(&svc, &q, "rEdge.d >= 50.0") {
             NegotiationOutcome::Satisfied {
-                index: 1, mappings, ..
+                index: 1,
+                outcome: Outcome::Complete(mappings),
+                ..
             } => assert_eq!(mappings.len(), 2), // bridge, 2 orientations
             other => panic!("unexpected {other:?}"),
         }
-        // The level-1 answer is the complete one: the same request
-        // submitted directly hits the filter negotiation cached.
+        // The same request submitted directly hits the filter
+        // negotiation cached, and agrees.
         let resp = svc
             .submit(&QueryRequest {
                 host: "t".into(),
@@ -405,10 +410,34 @@ mod tests {
         }
         match negotiate_region_first(&svc, &q, "true") {
             NegotiationOutcome::Satisfied {
-                index: 1, mappings, ..
+                index: 1, outcome, ..
             } => {
-                assert!(!mappings.is_empty())
+                assert!(outcome.found_any())
             }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn first_mode_satisfies_with_a_partial_outcome() {
+        let svc = service_with(host());
+        let first = Options {
+            mode: netembed::SearchMode::First,
+            ..Options::default()
+        };
+        // Level 60 admits every edge; `First` stops at one mapping, so
+        // the level's answer is a non-empty `Partial`.
+        let out = svc
+            .negotiate("t", &edge_query(), &[10.0, 60.0], &first, |lvl| {
+                format!("rEdge.avgDelay <= {lvl}")
+            })
+            .unwrap();
+        match out {
+            NegotiationOutcome::Satisfied {
+                index: 1,
+                outcome: Outcome::Partial(mappings),
+                ..
+            } => assert_eq!(mappings.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -28,10 +28,10 @@
 //!
 //! ## Dirty-node history
 //!
-//! Tracked mutations ([`ModelRegistry::update_dirty`], used by
-//! [`crate::feed::RegistryFeed`] and the
-//! [`ReservationManager`](crate::ReservationManager)) additionally
-//! record *which host nodes* each epoch transition touched.
+//! Tracked mutations ([`ModelRegistry::update_dirty`], and the
+//! fallible commit under it that [`crate::feed::RegistryFeed`] and the
+//! [`ReservationManager`](crate::ReservationManager) call directly)
+//! additionally record *which host nodes* each epoch transition touched.
 //! [`ModelRegistry::dirty_between`] composes those per-transition
 //! [`DirtySet`]s into the union of everything dirtied between two
 //! epochs — the contract the
@@ -45,6 +45,7 @@
 use netgraph::{Network, NodeBitSet, NodeId};
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -224,7 +225,12 @@ impl ModelRegistry {
     /// and everything derived from the host rebuilds. Commits that know
     /// their touched nodes use [`ModelRegistry::update_dirty`].
     pub fn update(&self, name: &str, update: impl FnOnce(&mut Network)) -> Option<ModelEpoch> {
-        self.commit(name, None, update).map(|(_, to)| to)
+        self.commit(name, None, |net| {
+            update(net);
+            Ok::<_, Infallible>(())
+        })
+        .and_then(Result::ok)
+        .map(|(_, to)| to)
     }
 
     /// [`ModelRegistry::update`] with a recorded [`DirtySet`]: applies
@@ -235,29 +241,41 @@ impl ModelRegistry {
     ///
     /// The caller asserts that `dirty` covers every node the mutation
     /// touches (mutated nodes plus both endpoints of mutated edges);
-    /// the feed validates that claim per delta before applying.
+    /// the feed validates that claim inside the commit, against the
+    /// model the delta mutates.
     pub fn update_dirty(
         &self,
         name: &str,
         dirty: DirtySet,
         update: impl FnOnce(&mut Network),
     ) -> Option<(ModelEpoch, ModelEpoch)> {
-        self.commit(name, Some(dirty), update)
+        self.commit(name, Some(dirty), |net| {
+            update(net);
+            Ok::<_, Infallible>(())
+        })
+        .and_then(Result::ok)
     }
 
-    /// The one commit body: clone the current model, apply `update`,
-    /// swap the copy in under an epoch minted inside the write lock,
-    /// and record the transition when its dirty set is known.
-    fn commit(
+    /// The one commit body: clone the current model and apply `update`
+    /// under the write lock. On success, swap the copy in under an epoch
+    /// minted inside that lock and record the transition when its dirty
+    /// set is known. On `Err`, drop the copy and return the error: no
+    /// swap, no new epoch, no recorded transition. `None` when `name` is
+    /// unknown. In-crate writers whose mutation may refuse (reservations,
+    /// the feed) call it directly, so what they check on the model they
+    /// are given still holds when the copy is swapped in.
+    pub(crate) fn commit<E>(
         &self,
         name: &str,
         dirty: Option<DirtySet>,
-        update: impl FnOnce(&mut Network),
-    ) -> Option<(ModelEpoch, ModelEpoch)> {
+        update: impl FnOnce(&mut Network) -> Result<(), E>,
+    ) -> Option<Result<(ModelEpoch, ModelEpoch), E>> {
         let mut guard = self.models.write();
         let entry = guard.get_mut(name)?;
         let mut copy = (*entry.model).clone();
-        update(&mut copy);
+        if let Err(e) = update(&mut copy) {
+            return Some(Err(e));
+        }
         let from = entry.epoch;
         let to = self.next_epoch();
         entry.model = Arc::new(copy);
@@ -268,7 +286,7 @@ impl ModelRegistry {
                 entry.history.pop_front();
             }
         }
-        Some((from, to))
+        Some(Ok((from, to)))
     }
 
     /// The union of every node dirtied between epochs `e1` and `e2` of
@@ -519,6 +537,39 @@ mod tests {
         let members = NodeBitSet::from_iter(8, [NodeId(1), NodeId(7)]);
         assert!(d.intersects(&members));
         assert!(!DirtySet::from_ids([2, 3, 100]).intersects(&members));
+    }
+
+    #[test]
+    fn failed_commit_leaves_the_entry_untouched() {
+        let reg = ModelRegistry::new();
+        let e0 = reg.register("m", net(3));
+        let (_, t1) = reg
+            .update_dirty("m", DirtySet::from_ids([0]), |_| {})
+            .unwrap();
+        let before = reg.model("m").unwrap();
+        let refused = reg.commit("m", Some(DirtySet::from_ids([1])), |n| {
+            n.set_node_attr(NodeId(1), "cpu", -1.0);
+            Err("refused")
+        });
+        assert_eq!(refused, Some(Err("refused")));
+        // No swap, no epoch, no transition.
+        assert!(Arc::ptr_eq(&before, &reg.model("m").unwrap()));
+        assert_eq!(reg.epoch("m"), Some(t1));
+        assert_eq!(
+            reg.dirty_between("m", e0, t1),
+            Some(DirtySet::from_ids([0]))
+        );
+        // The next commit chains straight from t1 under the very next
+        // epoch, and the refused dirty set is nowhere in the history.
+        let (from, t2) = reg
+            .update_dirty("m", DirtySet::from_ids([2]), |_| {})
+            .unwrap();
+        assert_eq!((from, t2), (t1, ModelEpoch(t1.0 + 1)));
+        assert_eq!(
+            reg.dirty_between("m", e0, t2),
+            Some(DirtySet::from_ids([0, 2]))
+        );
+        assert!(reg.commit("missing", None, |_| Ok::<_, ()>(())).is_none());
     }
 
     #[test]

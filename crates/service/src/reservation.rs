@@ -3,13 +3,20 @@
 //! and the network model would be adjusted accordingly."
 //!
 //! The manager tracks numeric *capacity attributes* on host nodes (e.g.
-//! `cpu`, `mem`). Reserving a mapping atomically decrements, on every host
-//! node in the image, the capacities demanded by the query node mapped to
-//! it (the query node's value for the same attribute); releasing restores
+//! `cpu`, `mem`). Reserving a mapping decrements, on every host node in
+//! the image, the capacities demanded by the query node mapped to it
+//! (the query node's value for the same attribute); releasing restores
 //! them. Each adjustment is one tracked commit into the
-//! [`crate::ModelRegistry`] ([`ModelRegistry::update_dirty`], the
-//! deduction nodes dirty), so subsequent queries see the new capacities
-//! and the host's cached filters are repaired rather than rebuilt.
+//! [`crate::ModelRegistry`] (the deduction nodes dirty), so subsequent
+//! queries see the new capacities and the host's cached filters are
+//! repaired rather than rebuilt. A reservation's capacity check and its
+//! deduction run inside that one commit, in one hold of the registry's
+//! write lock: concurrent reservations are serialized there, and each
+//! is checked against the capacities the others left.
+//!
+//! Capacity arithmetic has this one definition, which the
+//! [`Scheduler`](crate::Scheduler) and the feed's reservation deltas
+//! share: demand terms, a checked deduction and an unchecked shift.
 
 use crate::registry::{DirtySet, ModelRegistry};
 use netembed::Mapping;
@@ -87,9 +94,10 @@ impl ReservationManager {
     /// Reserve `mapping`'s resources on the named model.
     ///
     /// `capacities` lists the capacity attributes to honour (e.g.
-    /// `["cpu", "mem"]`). For each query node with a numeric value for a
-    /// listed attribute, that amount is deducted from the mapped host
-    /// node's value. All-or-nothing: any shortfall aborts with no change.
+    /// `["cpu", "mem"]`). For each query node with a positive numeric
+    /// value for a listed attribute, that amount is deducted from the
+    /// mapped host node's value. All-or-nothing: any shortfall aborts
+    /// the commit with no change.
     pub fn reserve(
         &self,
         registry: &ModelRegistry,
@@ -98,50 +106,11 @@ impl ReservationManager {
         mapping: &Mapping,
         capacities: &[&str],
     ) -> Result<Reservation, ReservationError> {
-        let model = registry
-            .model(host_name)
-            .ok_or_else(|| ReservationError::UnknownHost(host_name.to_string()))?;
-
-        // Plan the deductions and validate against the snapshot.
-        let mut deductions: Vec<(NodeId, String, f64)> = Vec::new();
-        for (q, r) in mapping.iter() {
-            for &attr in capacities {
-                let Some(demand) = query.node_attr_by_name(q, attr).and_then(AttrValue::as_num)
-                else {
-                    continue;
-                };
-                if demand <= 0.0 {
-                    continue;
-                }
-                let available = model
-                    .node_attr_by_name(r, attr)
-                    .and_then(AttrValue::as_num)
-                    .unwrap_or(0.0);
-                // Account for earlier deductions in this same plan (two
-                // query nodes cannot share a host node, but be safe).
-                let planned: f64 = deductions
-                    .iter()
-                    .filter(|(n, a, _)| *n == r && a == attr)
-                    .map(|(_, _, x)| *x)
-                    .sum();
-                if available - planned < demand {
-                    return Err(ReservationError::Insufficient {
-                        node: r,
-                        attr: attr.to_string(),
-                        requested: demand,
-                        available: available - planned,
-                    });
-                }
-                deductions.push((r, attr.to_string(), demand));
-            }
-        }
-
-        // Commit atomically through the registry (§III component 3:
-        // allocate → adjust).
-        if !adjust(registry, host_name, &deductions, -1.0) {
-            return Err(ReservationError::UnknownHost(host_name.to_string()));
-        }
-
+        let deductions = demand_terms(query, mapping, capacities);
+        let dirty = DirtySet::from_ids(deductions.iter().map(|(node, _, _)| node.0));
+        registry
+            .commit(host_name, Some(dirty), |net| deduct(net, &deductions))
+            .ok_or_else(|| ReservationError::UnknownHost(host_name.to_string()))??;
         let reservation = Reservation {
             host: host_name.to_string(),
             ticket: self.next_ticket.fetch_add(1, Ordering::Relaxed),
@@ -161,10 +130,12 @@ impl ReservationManager {
                 .ok_or(ReservationError::UnknownTicket(ticket))?;
             active.swap_remove(idx)
         };
-        if !adjust(registry, &reservation.host, &reservation.deductions, 1.0) {
-            return Err(ReservationError::UnknownHost(reservation.host));
-        }
-        Ok(())
+        let terms = &reservation.deductions;
+        let dirty = DirtySet::from_ids(terms.iter().map(|(node, _, _)| node.0));
+        registry
+            .update_dirty(&reservation.host, dirty, |net| shift(net, terms, 1.0))
+            .map(|_| ())
+            .ok_or_else(|| ReservationError::UnknownHost(reservation.host.clone()))
     }
 
     /// Number of active reservations.
@@ -173,27 +144,68 @@ impl ReservationManager {
     }
 }
 
-/// Add `sign × amount` to every deduction's attribute in one tracked
-/// commit whose dirty set is the deduction nodes. `false` when `host`
-/// is unknown.
-fn adjust(
-    registry: &ModelRegistry,
-    host: &str,
-    deductions: &[(NodeId, String, f64)],
-    sign: f64,
-) -> bool {
-    let dirty = DirtySet::from_ids(deductions.iter().map(|(node, _, _)| node.0));
-    registry
-        .update_dirty(host, dirty, |net| {
-            for (node, attr, amount) in deductions {
-                let current = net
-                    .node_attr_by_name(*node, attr)
-                    .and_then(AttrValue::as_num)
-                    .unwrap_or(0.0);
-                net.set_node_attr(*node, attr, current + sign * amount);
+/// The capacity demand of placing `query` by `mapping`: one
+/// `(host node, attr, amount)` term for each query node with a
+/// positive numeric value for a listed capacity attribute.
+pub(crate) fn demand_terms(
+    query: &Network,
+    mapping: &Mapping,
+    capacities: &[impl AsRef<str>],
+) -> Vec<(NodeId, String, f64)> {
+    let mut terms = Vec::new();
+    for (q, r) in mapping.iter() {
+        for attr in capacities.iter().map(AsRef::as_ref) {
+            match query.node_attr_by_name(q, attr).and_then(AttrValue::as_num) {
+                Some(amount) if amount > 0.0 => terms.push((r, attr.to_string(), amount)),
+                _ => {}
             }
-        })
-        .is_some()
+        }
+    }
+    terms
+}
+
+/// Deduct every `(node, attr, amount)` term from `net` in order, or
+/// fail at the first node with less left than its term asks for (a
+/// missing attribute counts as 0). Each check sees the deductions
+/// before it; on failure `net` is partly deducted, so callers run this
+/// on a copy they drop.
+pub(crate) fn deduct(
+    net: &mut Network,
+    terms: &[(NodeId, String, f64)],
+) -> Result<(), ReservationError> {
+    for (node, attr, amount) in terms {
+        let available = level(net, *node, attr);
+        if available < *amount {
+            return Err(ReservationError::Insufficient {
+                node: *node,
+                attr: attr.clone(),
+                requested: *amount,
+                available,
+            });
+        }
+        net.set_node_attr(*node, attr, available - amount);
+    }
+    Ok(())
+}
+
+/// Add `sign × amount` to every term's node attribute (a missing
+/// attribute counts as 0), unchecked.
+pub(crate) fn shift<N: Copy + Into<NodeId>>(
+    net: &mut Network,
+    terms: &[(N, String, f64)],
+    sign: f64,
+) {
+    for (node, attr, amount) in terms {
+        let node = (*node).into();
+        let current = level(net, node, attr);
+        net.set_node_attr(node, attr, current + sign * amount);
+    }
+}
+
+fn level(net: &Network, node: NodeId, attr: &str) -> f64 {
+    net.node_attr_by_name(node, attr)
+        .and_then(AttrValue::as_num)
+        .unwrap_or(0.0)
 }
 
 impl Default for ReservationManager {
@@ -307,5 +319,46 @@ mod tests {
             .embed(&q, "rNode.cpu >= 6.0", &netembed::Options::default())
             .unwrap();
         assert!(result.mappings.is_empty());
+    }
+
+    #[test]
+    fn concurrent_reserves_never_over_commit() {
+        use std::sync::Barrier;
+        // Two clients race for 3 of one node's 4 cpu: exactly one wins,
+        // the other sees the winner's deduction, and cpu ends at 1.
+        let mut q = Network::new(Direction::Undirected);
+        let x = q.add_node("x");
+        q.set_node_attr(x, "cpu", 3.0);
+        let mapping = Mapping::new(vec![NodeId(0)]);
+        for trial in 0..500 {
+            let reg = ModelRegistry::new();
+            let mut h = Network::new(Direction::Undirected);
+            let n = h.add_node("n");
+            h.set_node_attr(n, "cpu", 4.0);
+            reg.register("h", h);
+            let mgr = ReservationManager::new();
+            let barrier = Barrier::new(2);
+            let results: Vec<_> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            mgr.reserve(&reg, "h", &q, &mapping, &["cpu"])
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let won = results.iter().filter(|r| r.is_ok()).count();
+            assert_eq!(won, 1, "trial {trial}: {results:?}");
+            assert!(
+                results.iter().any(|r| matches!(
+                    r,
+                    Err(ReservationError::Insufficient { available, .. }) if *available == 1.0
+                )),
+                "trial {trial}: {results:?}"
+            );
+            assert_eq!(cpu(&reg, 0), 1.0, "trial {trial}");
+        }
     }
 }

@@ -27,9 +27,9 @@
 use crate::cache::{network_fingerprint, FilterCache, FilterKey};
 use crate::prepared::Acquire;
 use crate::registry::ModelEpoch;
-use crate::ServiceError;
+use crate::reservation::{deduct, demand_terms, shift};
 use netembed::{EmbedScratch, Mapping, Options, Problem, ProblemError, SearchMode};
-use netgraph::{AttrValue, Network, NodeId};
+use netgraph::{Network, NodeId};
 use std::fmt;
 
 /// Abstract time tick.
@@ -114,21 +114,12 @@ impl Scheduler {
     /// with the default filter-cache capacity
     /// ([`crate::cache::DEFAULT_CAPACITY`] residual models).
     pub fn new(base: Network, capacities: &[&str]) -> Self {
-        Self::with_cache_capacity(base, capacities, crate::cache::DEFAULT_CAPACITY)
-    }
-
-    /// [`Scheduler::new`] with an explicit filter-cache capacity. Size
-    /// it to at least the number of candidate starts one `find_window`
-    /// sweep probes (≈ concurrently committed allocations + 1);
-    /// a smaller cache still answers correctly but evicts its own
-    /// entries mid-sweep, losing the re-sweep amortization.
-    pub fn with_cache_capacity(base: Network, capacities: &[&str], cache_capacity: usize) -> Self {
         Scheduler {
             base,
             capacities: capacities.iter().map(|s| s.to_string()).collect(),
             calendar: Vec::new(),
             next_id: 1,
-            cache: FilterCache::with_capacity(cache_capacity),
+            cache: FilterCache::new(),
             scratch: EmbedScratch::new(),
         }
     }
@@ -168,13 +159,7 @@ impl Scheduler {
         let mut model = self.base.clone();
         for alloc in &self.calendar {
             if alloc.start <= t && t < alloc.end {
-                for (node, attr, amount) in &alloc.deductions {
-                    let current = model
-                        .node_attr_by_name(*node, attr)
-                        .and_then(AttrValue::as_num)
-                        .unwrap_or(0.0);
-                    model.set_node_attr(*node, attr, current - amount);
-                }
+                shift(&mut model, &alloc.deductions, -1.0);
             }
         }
         model
@@ -194,41 +179,15 @@ impl Scheduler {
         starts
     }
 
-    /// True when the residual model stays feasible for `mapping`'s demands
-    /// during the whole `[start, end)` window.
-    fn window_has_capacity(
-        &self,
-        query: &Network,
-        mapping: &Mapping,
-        start: Tick,
-        end: Tick,
-    ) -> bool {
-        // Capacity only changes at allocation boundaries inside the window.
-        let mut checkpoints = vec![start];
-        for a in &self.calendar {
-            if a.start > start && a.start < end {
-                checkpoints.push(a.start);
-            }
-        }
-        for t in checkpoints {
-            let model = self.model_at(t);
-            for (q, r) in mapping.iter() {
-                for attr in &self.capacities {
-                    let Some(need) = query.node_attr_by_name(q, attr).and_then(AttrValue::as_num)
-                    else {
-                        continue;
-                    };
-                    let avail = model
-                        .node_attr_by_name(r, attr)
-                        .and_then(AttrValue::as_num)
-                        .unwrap_or(0.0);
-                    if avail < need {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    /// True when the residual model covers the demand `terms` during
+    /// the whole `[start, end)` window: the checked deduction succeeds
+    /// at `start` and at every allocation start inside the window (the
+    /// only moments capacity drops).
+    fn window_has_capacity(&self, terms: &[(NodeId, String, f64)], start: Tick, end: Tick) -> bool {
+        let inner = self.calendar.iter().map(|a| a.start);
+        std::iter::once(start)
+            .chain(inner.filter(|&t| t > start && t < end))
+            .all(|t| deduct(&mut self.model_at(t), terms).is_ok())
     }
 
     /// Find the earliest window of `duration` ticks in `[from, horizon)`
@@ -252,8 +211,6 @@ impl Scheduler {
         if duration == 0 {
             return Err(ScheduleError::ZeroDuration);
         }
-        // Parse once for the whole sweep; every start re-binds the same
-        // expression to its residual model.
         // Same up-front checks as every other service entry point
         // (parse *and* static type lint), parsed once for the whole
         // sweep; every start re-binds the same expression.
@@ -279,13 +236,10 @@ impl Scheduler {
             // no registry behind the residual models, so no repair.
             let result = Acquire::bare(&self.cache, key)
                 .run(&problem, &options, &mut self.scratch, None)
-                .map_err(|e| match e {
-                    ServiceError::Problem(p) => ScheduleError::from(p),
-                    other => ScheduleError::Problem(other.to_string()),
-                })?;
+                .map_err(|e| ScheduleError::Problem(e.to_string()))?;
             for mapping in &result.mappings {
-                if self.window_has_capacity(query, mapping, start, start + duration) {
-                    let deductions = self.plan_deductions(query, mapping);
+                let deductions = demand_terms(query, mapping, &self.capacities);
+                if self.window_has_capacity(&deductions, start, start + duration) {
                     let id = self.next_id;
                     self.next_id += 1;
                     let alloc = Allocation {
@@ -321,26 +275,12 @@ impl Scheduler {
             None => false,
         }
     }
-
-    fn plan_deductions(&self, query: &Network, mapping: &Mapping) -> Vec<(NodeId, String, f64)> {
-        let mut out = Vec::new();
-        for (q, r) in mapping.iter() {
-            for attr in &self.capacities {
-                if let Some(need) = query.node_attr_by_name(q, attr).and_then(AttrValue::as_num) {
-                    if need > 0.0 {
-                        out.push((r, attr.clone(), need));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::Direction;
+    use netgraph::{AttrValue, Direction};
 
     /// 4 hosts, 4 cpu each, fully wired.
     fn base() -> Network {

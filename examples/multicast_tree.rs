@@ -76,11 +76,9 @@ fn main() {
         .negotiate("overlay", &tree, &budgets, &options, template)
         .expect("valid constraints")
     {
-        NegotiationOutcome::Satisfied {
-            level, mappings, ..
-        } => {
+        NegotiationOutcome::Satisfied { level, outcome, .. } => {
             println!("satisfied with leaf delay budget {level} ms");
-            let m = &mappings[0];
+            let m = &outcome.mappings()[0];
             println!("tree placement:");
             for (q, r) in m.iter() {
                 let cluster = host

@@ -147,17 +147,18 @@ fn partitioned_fabric_answers_stub_queries_locally() {
         )
         .unwrap();
     let NegotiationOutcome::Satisfied {
-        index: 0, mappings, ..
+        index: 0, outcome, ..
     } = local
     else {
         panic!("intra-LAN query not satisfied at level 0: {local:?}");
     };
+    let mappings = outcome.mappings();
     assert!(!mappings.is_empty());
     let domain = |r: NodeId| {
         host.node_attr_by_name(r, "domain")
             .and_then(AttrValue::as_num)
     };
-    for m in &mappings {
+    for m in mappings {
         let first = domain(m.as_slice()[0]);
         assert!(first.is_some());
         assert!(
